@@ -48,7 +48,8 @@
 // budget). Per scale: bytes/edge for both formats and their ratio,
 // shard decode bandwidth (GB/s over validate_full), and frontier
 // steps/sec on each representation with identical seeds. Gates: the
-// packed and compressed runs must be bit-identical (any build), the
+// packed and compressed runs must be bit-identical (any build), no
+// warm step may allocate (allocs_per_step == 0, any build), the
 // compressed bytes/edge must stay <=60% of packed (any build), and
 // under --baseline the BA-1M compressed steps_per_sec may not regress
 // >25% (optimized builds).
@@ -421,6 +422,21 @@ double extract_case_field(const std::string& json, const std::string& name,
 /// flag, not the change — say so instead of letting the gate mislead.
 /// rumor-bench/2 baselines carry no "native" field and are treated as
 /// portable builds.
+/// The zero-allocation gate of the agents and graphs suites: true (after
+/// naming the first offender) when any case allocated in a warm step.
+bool warm_steps_allocate(const std::vector<CaseResult>& cases) {
+  for (const auto& r : cases) {
+    if (r.allocs_per_step > 0.0) {
+      std::fprintf(stderr,
+                   "bench_driver: FAIL — %s performs %.6f heap "
+                   "allocations per warm step (expected 0)\n",
+                   r.name.c_str(), r.allocs_per_step);
+      return true;
+    }
+  }
+  return false;
+}
+
 void warn_native_mismatch(const std::string& baseline_json) {
   const auto key = baseline_json.find("\"native\":");
   const bool baseline_native =
@@ -794,15 +810,7 @@ int run_agents_suite(const std::string& out_path,
     file << report;
   }
 
-  for (const auto& r : cases) {
-    if (r.allocs_per_step > 0.0) {
-      std::fprintf(stderr,
-                   "bench_driver: FAIL — %s performs %.6f heap "
-                   "allocations per warm step (expected 0)\n",
-                   r.name.c_str(), r.allocs_per_step);
-      return 1;
-    }
-  }
+  if (warm_steps_allocate(cases)) return 1;
   // The trajectory is deterministic, so the prevalence gate holds on
   // any machine: the BA-1M window must stay in the sparse regime the
   // ≥10x claim is made for.
@@ -1094,6 +1102,7 @@ int run_graphs_suite(const std::string& out_path,
   }
 
   if (!identical) return 1;  // bit-identity is a hard gate in any build
+  if (warm_steps_allocate(cases)) return 1;  // so is allocation-freedom
 
   // Compression is a property of the format, not the optimizer: the
   // <=60% bytes/edge acceptance gate holds in any build flavor.

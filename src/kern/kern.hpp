@@ -2,14 +2,14 @@
 //
 // Every engine's inner loops — the fused SIR/costate RHS kernels, the
 // agent-sim hazard gather, the RK4 stage combines, trajectory
-// interpolation, the objective/ensemble reductions, and the packed
-// 2-bit compartment census — funnel through the function-pointer table
-// returned by ops(). The table is resolved exactly once per process:
-// the best backend the CPU supports (CPUID via __builtin_cpu_supports)
-// unless the RUMOR_KERNEL environment variable forces one of
-// scalar|avx2|avx512. A forced backend the binary was not compiled
-// with, or the CPU cannot execute, raises util::InvalidArgument with a
-// message naming the valid choices.
+// interpolation, the objective/ensemble reductions, the packed 2-bit
+// compartment census, and the agent step's per-node draw sweep —
+// funnel through the function-pointer table returned by ops(). The
+// table is resolved exactly once per process: the best backend the CPU
+// supports (CPUID via __builtin_cpu_supports) unless the RUMOR_KERNEL
+// environment variable forces one of scalar|avx2|avx512. A forced
+// backend the binary was not compiled with, or the CPU cannot execute,
+// raises util::InvalidArgument with a message naming the valid choices.
 //
 // Determinism policy (tested by tests/test_kern.cpp, documented in
 // docs/performance.md):
@@ -17,10 +17,11 @@
 //     arithmetic bit for bit — RUMOR_KERNEL=scalar is the reference.
 //   * Elementwise kernels (lerp, axpy_out, combine2, rk4_combine,
 //     accumulate, accumulate_sq, the elementwise half of sir_rhs /
-//     costate_rhs) and the integer census are bit-identical across ALL
-//     backends: each output element is the same IEEE operation
-//     sequence per lane, compiled with -ffp-contract=off so no backend
-//     fuses a multiply-add the others do not.
+//     costate_rhs) and the integer kernels (census, varint decode,
+//     draw sweep) are bit-identical across ALL backends: each output
+//     element is the same IEEE (or integer) operation sequence per
+//     lane, compiled with -ffp-contract=off so no backend fuses a
+//     multiply-add the others do not.
 //   * Reductions (dot, sum, gather_sum, trapezoid, knot4, and the Θ /
 //     coupling sums inside the fused RHS kernels) reassociate under
 //     SIMD: lane-parallel partial sums differ from the scalar
@@ -41,6 +42,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -158,6 +160,16 @@ struct Ops {
                                       std::size_t avail, std::uint32_t base,
                                       std::uint32_t limit, std::uint32_t* out,
                                       std::size_t count);
+  /// The agent simulator's draw sweep: writes to out, in ascending
+  /// order, every v in [lo, hi) whose first per-node draw
+  /// util::CounterRng(util::hash_mix(key, v)).next() >> 11 is below
+  /// `threshold` (see draw_threshold), or whose exposure[v] is
+  /// non-zero. Returns the count written; out needs room for hi − lo
+  /// ids. Bit-exact across backends (integer kernel).
+  std::size_t (*draw_candidates)(std::uint64_t key, std::uint64_t threshold,
+                                 const std::uint32_t* exposure,
+                                 std::size_t lo, std::size_t hi,
+                                 std::uint32_t* out);
 
   // --- batched lane-per-problem kernels ------------------------------
   // `lanes` independent problems interleaved SoA: a[j*lanes + l] is
@@ -241,6 +253,16 @@ constexpr std::size_t fused_scratch_doubles(std::size_t n) {
 constexpr std::size_t batch_scratch_doubles(std::size_t n,
                                             std::size_t lanes) {
   return (10 * n + 2) * lanes + 16;
+}
+
+/// draw_candidates' integer threshold for probability p: ceil(p·2^53),
+/// 0 for p <= 0 and 2^53 for p >= 1. A 53-bit draw x then satisfies
+/// x < draw_threshold(p) exactly when util::CounterRng::bernoulli(p)
+/// on that draw returns true (x·2^-53 < p, and p·2^53 is exact).
+inline std::uint64_t draw_threshold(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 
 /// The lane count the resolved backend fills one (or two) vector

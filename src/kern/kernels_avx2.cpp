@@ -630,6 +630,71 @@ void batch_costate_rk4_step(const double* w, std::size_t n, std::size_t lanes,
   rk4_combine(w, k1, k2, k3, k4, h / 6.0, w_next, dim);
 }
 
+// --- draw sweep -------------------------------------------------------
+// Kept last in the file, after the kernels the ODE and control paths
+// run, so adding it left their code where it was.
+// splitmix64 on four u64 lanes. AVX2 has no 64-bit multiply, so each
+// constant multiply is three 32x32->64 partial products (hi x hi falls
+// off the top of the lane): integer-exact, like the scalar reference.
+inline __m256i mul64_const(__m256i a, std::uint64_t c) {
+  const __m256i c_lo =
+      _mm256_set1_epi64x(static_cast<long long>(c & 0xFFFFFFFFu));
+  const __m256i c_hi = _mm256_set1_epi64x(static_cast<long long>(c >> 32));
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), c_lo),
+                       _mm256_mul_epu32(a, c_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, c_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+inline __m256i splitmix64(__m256i x) {
+  __m256i z = _mm256_add_epi64(
+      x, _mm256_set1_epi64x(static_cast<long long>(0x9E3779B97F4A7C15ULL)));
+  z = mul64_const(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
+                  0xBF58476D1CE4E5B9ULL);
+  z = mul64_const(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
+                  0x94D049BB133111EBULL);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+}
+
+std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
+                            const std::uint32_t* exposure, std::size_t lo,
+                            std::size_t hi, std::uint32_t* out) {
+  const __m256i golden =
+      _mm256_set1_epi64x(static_cast<long long>(0x9E3779B97F4A7C15ULL));
+  const __m256i keys = _mm256_set1_epi64x(static_cast<long long>(key));
+  // Draws are < 2^53 and thresholds <= 2^53, so a signed compare is exact.
+  const __m256i limit = _mm256_set1_epi64x(static_cast<long long>(threshold));
+  const auto first = static_cast<long long>(lo);
+  __m256i ids = _mm256_setr_epi64x(first, first + 1, first + 2, first + 3);
+  std::size_t count = 0;
+  std::size_t v = lo;
+  for (; v + kLanes <= hi; v += kLanes) {
+    // hash_mix(key, v) = splitmix64(key ^ (splitmix64(v) + golden)); the
+    // first draw is one more splitmix64 step of that key.
+    const __m256i mixed = splitmix64(
+        _mm256_xor_si256(keys, _mm256_add_epi64(splitmix64(ids), golden)));
+    const __m256i draw = _mm256_srli_epi64(splitmix64(mixed), 11);
+    const __m256i unexposed = _mm256_cmpeq_epi64(
+        _mm256_cvtepu32_epi64(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(exposure + v))),
+        _mm256_setzero_si256());
+    const auto hit = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpgt_epi64(limit, draw))));
+    const auto idle = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(unexposed)));
+    const unsigned keep = hit | (~idle & 0xFu);
+    // Branch-free append, as in the scalar reference.
+    for (unsigned lane = 0; lane < kLanes; ++lane) {
+      out[count] = static_cast<std::uint32_t>(v + lane);
+      count += (keep >> lane) & 1u;
+    }
+    ids = _mm256_add_epi64(ids, _mm256_set1_epi64x(4));
+  }
+  return count + scalar::draw_candidates(key, threshold, exposure, v, hi,
+                                         out + count);
+}
+
 }  // namespace
 
 const Ops& avx2_ops() {
@@ -652,6 +717,7 @@ const Ops& avx2_ops() {
       accumulate_sq,
       census2,
       simd::varint_decode_deltas_avx2,
+      draw_candidates,
       batch_dot,
       batch_trapezoid,
       batch_knot4,

@@ -638,6 +638,61 @@ void batch_costate_rk4_step(const double* w, std::size_t n, std::size_t lanes,
   rk4_combine(w, k1, k2, k3, k4, h / 6.0, w_next, dim);
 }
 
+// --- draw sweep -------------------------------------------------------
+// Kept last in the file, after the kernels the ODE and control paths
+// run, so adding it left their code where it was.
+// splitmix64 on eight u64 lanes (vpmullq is AVX512DQ).
+inline __m512i splitmix64(__m512i x) {
+  __m512i z = _mm512_add_epi64(
+      x, _mm512_set1_epi64(static_cast<long long>(0x9E3779B97F4A7C15ULL)));
+  z = _mm512_mullo_epi64(
+      _mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
+      _mm512_set1_epi64(static_cast<long long>(0xBF58476D1CE4E5B9ULL)));
+  z = _mm512_mullo_epi64(
+      _mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
+      _mm512_set1_epi64(static_cast<long long>(0x94D049BB133111EBULL)));
+  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+}
+
+std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
+                            const std::uint32_t* exposure, std::size_t lo,
+                            std::size_t hi, std::uint32_t* out) {
+  const __m512i golden =
+      _mm512_set1_epi64(static_cast<long long>(0x9E3779B97F4A7C15ULL));
+  const __m512i keys = _mm512_set1_epi64(static_cast<long long>(key));
+  const __m512i limit = _mm512_set1_epi64(static_cast<long long>(threshold));
+  __m512i ids = _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(lo)),
+                                 _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+  // Node ids are u32; the 32-bit lanes wrap exactly as unsigned adds.
+  __m256i ids32 = _mm256_add_epi32(
+      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(lo))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  std::size_t count = 0;
+  std::size_t v = lo;
+  for (; v + kLanes <= hi; v += kLanes) {
+    // hash_mix(key, v) = splitmix64(key ^ (splitmix64(v) + golden)); the
+    // first draw is one more splitmix64 step of that key.
+    const __m512i mixed = splitmix64(
+        _mm512_xor_si512(keys, _mm512_add_epi64(splitmix64(ids), golden)));
+    const __m512i draw = _mm512_srli_epi64(splitmix64(mixed), 11);
+    const __m256i exposed =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(exposure + v));
+    const __mmask8 keep = _mm512_cmplt_epu64_mask(draw, limit) |
+                          _mm256_test_epi32_mask(exposed, exposed);
+    // Compress in a register and store all eight lanes: the slots past
+    // the kept ids lie inside this range's own output (count <= v - lo),
+    // and the next store overwrites them. A memory-destination
+    // compress would avoid the overhang but is microcoded on some cores.
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + count),
+                        _mm256_maskz_compress_epi32(keep, ids32));
+    count += static_cast<std::size_t>(__builtin_popcount(keep));
+    ids = _mm512_add_epi64(ids, _mm512_set1_epi64(8));
+    ids32 = _mm256_add_epi32(ids32, _mm256_set1_epi32(8));
+  }
+  return count + scalar::draw_candidates(key, threshold, exposure, v, hi,
+                                         out + count);
+}
+
 }  // namespace
 
 const Ops& avx512_ops() {
@@ -660,6 +715,7 @@ const Ops& avx512_ops() {
       accumulate_sq,
       census2,
       simd::varint_decode_deltas_avx2,
+      draw_candidates,
       batch_dot,
       batch_trapezoid,
       batch_knot4,

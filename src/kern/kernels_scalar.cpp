@@ -98,6 +98,7 @@ const Ops& scalar_ops() {
       accumulate_sq,
       scalar::census2,
       scalar::varint_decode_deltas,
+      scalar::draw_candidates,
       batch_dot,
       batch_trapezoid,
       batch_knot4,

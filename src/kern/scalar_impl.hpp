@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/random.hpp"
+
 namespace rumor::kern::scalar {
 
 inline double dot(const double* a, const double* b, std::size_t n) {
@@ -281,6 +283,24 @@ inline std::size_t varint_decode_deltas(const std::uint8_t* src,
     out[i] = static_cast<std::uint32_t>(prev);
   }
   return pos;
+}
+
+/// Reference draw sweep (Ops::draw_candidates). The draw is the 53-bit
+/// mantissa CounterRng::uniform scales by 2^-53. Branch-free append:
+/// every id is stored and the cursor advances only for hits, so
+/// out[count] never runs past the range's own length.
+inline std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
+                                   const std::uint32_t* exposure,
+                                   std::size_t lo, std::size_t hi,
+                                   std::uint32_t* out) {
+  std::size_t count = 0;
+  for (std::size_t v = lo; v < hi; ++v) {
+    util::CounterRng draw(util::hash_mix(key, v));
+    out[count] = static_cast<std::uint32_t>(v);
+    count += static_cast<std::size_t>(((draw.next() >> 11) < threshold) |
+                                      (exposure[v] != 0));
+  }
+  return count;
 }
 
 }  // namespace rumor::kern::scalar

@@ -240,6 +240,15 @@ void Scheduler::finalize_locked(const std::shared_ptr<Job>& job,
     util::log_warn() << "scheduler: failed to remove job dir " << job->dir
                      << ": " << ec.message();
   }
+  // Waiters hold their own reference, so forgetting a job they wait on
+  // cannot pull it out from under them.
+  finished_.push_back(job->id);
+  const std::size_t retained =
+      kRetainedPerQueueSlot * options_.max_queue_depth;
+  while (finished_.size() > retained) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
   done_cv_.notify_all();
 }
 

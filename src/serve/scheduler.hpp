@@ -24,6 +24,12 @@
 // result is identical to an uninterrupted run. That guarantee is what
 // makes preemption safe to apply to any job, not just idempotent ones.
 //
+// Retention: finished jobs stay queryable (status, wait, the result)
+// until kRetainedPerQueueSlot × max_queue_depth newer jobs have
+// finished; then the oldest finished job is forgotten and queries for
+// its id answer not_found, so a long-running daemon's job table stays
+// bounded.
+//
 // Shutdown: stop() drains — queued jobs are cancelled with
 // shutting_down, running jobs get drain_timeout to finish before being
 // cancelled cooperatively — then the worker loops exit and the
@@ -33,6 +39,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,6 +73,9 @@ class Scheduler {
     std::chrono::milliseconds drain_timeout{5000};
   };
 
+  /// Finished jobs retained per slot of max_queue_depth.
+  static constexpr std::size_t kRetainedPerQueueSlot = 4;
+
   explicit Scheduler(Options options);
   ~Scheduler();
 
@@ -86,7 +96,7 @@ class Scheduler {
 
   /// Snapshot a job as a JSON object (id, type, state, priority,
   /// preemptions, and — when terminal — result or error). nullopt for
-  /// unknown ids.
+  /// unknown ids, including finished jobs past the retention bound.
   std::optional<io::JsonValue> job_json(std::uint64_t id) const;
 
   /// Cancel a queued or running job. Returns false for unknown or
@@ -132,7 +142,9 @@ class Scheduler {
   std::condition_variable work_cv_;  ///< workers wait for jobs / stop
   std::condition_variable done_cv_;  ///< wait()/stop() wait for terminals
   std::set<std::shared_ptr<Job>, JobOrder> queue_;
-  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;  ///< all ever seen
+  /// Live jobs plus the most recently finished ones.
+  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
+  std::deque<std::uint64_t> finished_;  ///< retained, oldest first
   std::vector<std::shared_ptr<Job>> running_jobs_;
   std::uint64_t next_id_ = 1;
   bool stopping_ = false;

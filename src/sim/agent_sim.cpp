@@ -1,8 +1,8 @@
 #include "sim/agent_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,6 +17,7 @@ namespace {
 struct SimMetrics {
   obs::Counter& steps;
   obs::Counter& edges_scanned;
+  obs::Counter& gather_fallbacks;
   obs::Counter& infections;
   obs::Counter& recoveries;
   obs::Gauge& infected;
@@ -29,6 +30,7 @@ SimMetrics& sim_metrics() {
     obs::Registry& r = obs::metrics();
     return new SimMetrics{r.counter("sim.steps"),
                           r.counter("sim.edges_scanned"),
+                          r.counter("sim.gather_fallbacks"),
                           r.counter("sim.infections"),
                           r.counter("sim.recoveries"),
                           r.gauge("sim.infected"),
@@ -52,10 +54,16 @@ static_assert(kStepGrain % PackedCompartments::kNodesPerWord == 0,
 // Sentinel for "node not in this list" in the position indices.
 constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 
-// Per-thread decode target for compressed-graph neighbor lists. One
-// scratch per OS thread (not per simulation): decode_neighbors resizes
-// it to whatever graph is being decoded, and the returned span is only
-// used before the same thread's next decode.
+// A frontier step's infection draw left for the serial gather: steps
+// only ever move nodes out of S, so a transition *to* S cannot be a
+// decision, and applying it to a susceptible node is a no-op.
+constexpr Compartment kUndecided = Compartment::kSusceptible;
+
+// The dense engine's per-thread decode target for compressed-graph
+// neighbor lists. One scratch per OS thread (not per simulation):
+// decode_neighbors resizes it to whatever graph is being decoded, and
+// the returned span is only used before the same thread's next decode.
+// The frontier engine decodes only serially, into its own scratch.
 thread_local graph::NeighborScratch t_decode_scratch;
 }  // namespace
 
@@ -102,6 +110,7 @@ AgentSimulation::AgentSimulation(const graph::CompressedGraph& zg,
                 "the directed reverse-CSR build would materialize exactly "
                 "the array this path exists to avoid");
   init_common(seed);
+  if (frontier()) decode_scratch_.ids.resize(zg.max_degree());
 }
 
 const graph::Graph& AgentSimulation::graph() const {
@@ -112,10 +121,10 @@ const graph::Graph& AgentSimulation::graph() const {
 }
 
 std::span<const graph::NodeId> AgentSimulation::neighbors_of(
-    graph::NodeId v) const {
+    graph::NodeId v, graph::NeighborScratch& scratch) const {
   if (graph_ != nullptr) return graph_->neighbors(v);
-  const std::size_t count = zgraph_->decode_neighbors(v, t_decode_scratch);
-  return {t_decode_scratch.ids.data(), count};
+  const std::size_t count = zgraph_->decode_neighbors(v, scratch);
+  return {scratch.ids.data(), count};
 }
 
 void AgentSimulation::init_common(std::uint64_t seed) {
@@ -125,51 +134,65 @@ void AgentSimulation::init_common(std::uint64_t seed) {
       graph_ != nullptr ? graph_->num_nodes() : zgraph_->num_nodes();
   util::require(n > 0, "AgentSimulation: empty graph");
   state_.assign(n, Compartment::kSusceptible);
-  lambda_over_k_.resize(n);
-  omega_over_k_.resize(n);
   infected_weight_.assign(n, 0.0);
   susceptible_count_ = n;
-  std::map<std::size_t, std::size_t> degree_counts;
+  // Degree groups by counting sort; λ(k)/k and ω(k)/k are evaluated once
+  // per distinct degree, and nodes look them up through their group.
   std::vector<std::uint32_t> degrees(n);
+  std::size_t max_degree = 0;
+  std::size_t max_sources = 0;  // longest exposure list
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t degree = node_degree(v);
     degrees[v] = static_cast<std::uint32_t>(degree);
-    const auto k = static_cast<double>(degree);
-    if (k > 0.0) {
-      lambda_over_k_[v] = params_.lambda(k) / k;
-      omega_over_k_[v] = params_.omega(k) / k;
-    } else {
-      lambda_over_k_[v] = 0.0;  // isolated nodes cannot catch or spread
-      omega_over_k_[v] = 0.0;
-    }
-    ++degree_counts[degree];
+    max_degree = std::max(max_degree, degree);
+    max_sources = std::max(
+        max_sources,
+        directed() ? graph_->in_degree(static_cast<graph::NodeId>(v))
+                   : degree);
   }
-  group_degrees_.reserve(degree_counts.size());
-  group_sizes_.reserve(degree_counts.size());
-  std::map<std::size_t, std::size_t> group_index;
-  for (const auto& [degree, count] : degree_counts) {
-    group_index[degree] = group_degrees_.size();
+  std::vector<std::uint32_t> group_index(max_degree + 1, 0);
+  for (const std::uint32_t degree : degrees) ++group_index[degree];
+  for (std::size_t degree = 0; degree <= max_degree; ++degree) {
+    if (group_index[degree] == 0) continue;
+    group_sizes_.push_back(group_index[degree]);
+    group_index[degree] = static_cast<std::uint32_t>(group_degrees_.size());
     group_degrees_.push_back(degree);
-    group_sizes_.push_back(count);
+    const auto k = static_cast<double>(degree);
+    // Isolated nodes cannot catch or spread.
+    group_lambda_over_k_.push_back(k > 0.0 ? params_.lambda(k) / k : 0.0);
+    group_omega_over_k_.push_back(k > 0.0 ? params_.omega(k) / k : 0.0);
   }
   group_of_.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    group_of_[v] = group_index[degrees[v]];
-  }
+  for (std::size_t v = 0; v < n; ++v) group_of_[v] = group_index[degrees[v]];
   // Every per-step buffer is sized once here so warm steps never touch
   // the allocator (pinned by tests/test_perf_alloc.cpp). A full sweep
   // needs ceil(n / grain) chunks; the sparse path runs two back-to-back
   // regions over disjoint node sets, which can need one extra chunk per
   // region for the remainders.
   const std::size_t max_chunks = (n + kStepGrain - 1) / kStepGrain + 2;
-  chunk_edges_.assign(max_chunks, 0);
   if (params_.engine == AgentEngine::kDense) {
     next_state_.assign(n, Compartment::kSusceptible);
     next_infected_weight_.assign(n, 0.0);
     chunk_deltas_.assign(max_chunks, StepDelta{});
   } else {
+    // Fixed-point scale: with w < 2^(e+1) and D < 2^bits sources,
+    // s = 51 − e − bits keeps every A_v below D·(w·2^s + 1/2) < 2^53,
+    // so sums neither overflow nor round when read as doubles. Capped
+    // so that 2^-(s+1) stays representable for vanishing weights.
+    const double w_max = *std::max_element(group_omega_over_k_.begin(),
+                                           group_omega_over_k_.end());
+    util::require(std::isfinite(w_max),
+                  "AgentSimulation: infectivity weights must be finite");
+    const int bits = static_cast<int>(std::bit_width(max_sources));
+    const int scale =
+        w_max > 0.0 ? std::min(51 - std::ilogb(w_max) - bits, 1000) : 0;
+    exposure_unit_ = std::ldexp(1.0, -scale);
+    for (const double w : group_omega_over_k_) {
+      group_fixed_weight_.push_back(std::llround(std::ldexp(w, scale)));
+    }
+    gather_error_ = static_cast<double>(max_sources) * 0x1p-52;
     exposure_count_.assign(n, 0);
-    hazard_.assign(n, 0.0);
+    exposure_sum_.assign(n, 0);
     active_pos_.assign(n, kNoPos);
     infected_pos_.assign(n, kNoPos);
     active_list_.reserve(n);
@@ -241,13 +264,15 @@ void AgentSimulation::set_control_schedule(
 
 // gather_over (agent_sim.hpp) is the one definition of a node's
 // exposure: a fixed summation scheme over the full CSR source list.
-// Both engines call exactly this — the same kernel of the same backend
-// — which is what makes them bit-identical: non-infected sources
+// The dense engine and the frontier engine's fallback call exactly
+// this — the same kernel of the same backend: non-infected sources
 // contribute a true 0.0, and adding 0.0 anywhere in a sum of
 // non-negative IEEE doubles does not perturb it, so the result is a
 // pure function of the infected weights in CSR order under whichever
 // lane split the backend uses. Compressed graphs decode the identical
-// stored order, so the same argument covers both representations.
+// stored order, so the same argument covers both representations. The
+// frontier engine's certified decisions hold for every summation order
+// (agent_sim.hpp), so they agree with the gather on any backend.
 
 void AgentSimulation::step() {
   const obs::TraceSpan span("sim.step");
@@ -267,6 +292,7 @@ void AgentSimulation::step() {
   const std::size_t recovered_before =
       num_nodes() - susceptible_count_ - infected_count_;
   const std::uint64_t edges_before = edges_scanned_;
+  const std::uint64_t fallbacks_before = gather_fallbacks_;
   if (frontier()) {
     step_frontier(p_immunize, p_block, step_key);
   } else {
@@ -283,6 +309,7 @@ void AgentSimulation::step() {
   SimMetrics& m = sim_metrics();
   m.steps.add();
   m.edges_scanned.add(edges_scanned_ - edges_before);
+  m.gather_fallbacks.add(gather_fallbacks_ - fallbacks_before);
   m.infections.add(ever_infected_ - ever_before);
   m.recoveries.add(num_nodes() - susceptible_count_ - infected_count_ -
                    recovered_before);
@@ -296,7 +323,6 @@ void AgentSimulation::step() {
 void AgentSimulation::step_dense(double p_immunize, double p_block,
                                  std::uint64_t step_key) {
   const std::size_t n = num_nodes();
-  const double dt = params_.dt;
 
   // One fused pass per chunk: gather the hazard of each susceptible
   // node from the current (read-only) state/weight buffers, draw its
@@ -307,7 +333,6 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
       [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
         const obs::TraceSpan chunk_span("sim.chunk");
         StepDelta d;
-        std::uint64_t edges = 0;
         for (std::size_t v = lo; v < hi; ++v) {
           const Compartment cur = state_.get(v);
           Compartment next = cur;
@@ -323,14 +348,13 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
                 // One fetch serves both the gather and the edge count —
                 // on compressed graphs a fetch is a varint decode, so
                 // calling exposure_sources twice would double the work.
-                const auto sources = exposure_sources(v);
-                edges += sources.size();
+                const auto sources = exposure_sources(v, t_decode_scratch);
+                d.edges += sources.size();
                 const double hazard = gather_over(sources);
                 if (hazard > 0.0) {
-                  const double rate = lambda_over_k_[v] * hazard;
-                  if (draw.bernoulli(1.0 - std::exp(-rate * dt))) {
+                  if (draw.bernoulli(infection_probability(v, hazard))) {
                     next = Compartment::kInfected;
-                    weight = omega_over_k_[v];
+                    weight = omega_over_k(v);
                     --d.susceptible;
                     ++d.infected;
                     ++d.ever;
@@ -345,7 +369,7 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
                 next = Compartment::kRecovered;
                 --d.infected;
               } else {
-                weight = omega_over_k_[v];
+                weight = omega_over_k(v);
               }
               break;
             }
@@ -356,7 +380,6 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
           next_infected_weight_[v] = weight;
         }
         chunk_deltas_[chunk] = d;
-        chunk_edges_[chunk] = edges;
       });
 
   state_.swap(next_state_);
@@ -370,20 +393,25 @@ void AgentSimulation::step_dense(double p_immunize, double p_block,
         static_cast<std::int64_t>(infected_count_) +
         chunk_deltas_[c].infected);
     ever_infected_ += static_cast<std::size_t>(chunk_deltas_[c].ever);
-    edges_scanned_ += chunk_edges_[c];
+    edges_scanned_ += chunk_deltas_[c].edges;
   }
 }
 
 void AgentSimulation::step_frontier(double p_immunize, double p_block,
                                     std::uint64_t step_key) {
-  const double dt = params_.dt;
   std::size_t used_chunks = 0;
 
   if (p_immunize > 0.0) {
-    // Immunization steps: every susceptible node needs a draw, so sweep
-    // all nodes like the dense engine — but the exposure count still
-    // gates the hazard gathers, which is where the edge work lives.
+    // Immunization steps: every susceptible node needs a draw. The draw
+    // sweep keeps the nodes whose first draw falls under the larger of
+    // the two flip probabilities, and those with an infected exposure
+    // source. Any other node fails its immunization or blocking draw
+    // and has nothing to catch, so the switch below would record no
+    // transition for it: the transitions, and their order, are those
+    // of a sweep over every node.
     const std::size_t n = num_nodes();
+    const std::uint64_t threshold =
+        kern::draw_threshold(std::max(p_immunize, p_block));
     used_chunks = (n + kStepGrain - 1) / kStepGrain;
     util::parallel_for_chunks(
         std::size_t{0}, n, kStepGrain,
@@ -391,33 +419,28 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           const obs::TraceSpan chunk_span("sim.chunk");
           auto& out = chunk_transitions_[chunk];
           out.clear();
-          std::uint64_t edges = 0;
-          for (std::size_t v = lo; v < hi; ++v) {
+          std::uint32_t candidates[kStepGrain];
+          const std::size_t count =
+              ops_->draw_candidates(step_key, threshold,
+                                    exposure_count_.data(), lo, hi,
+                                    candidates);
+          for (std::size_t i = 0; i < count; ++i) {
+            const graph::NodeId v = candidates[i];
             switch (state_.get(v)) {
               case Compartment::kSusceptible: {
                 util::CounterRng draw(util::hash_mix(step_key, v));
+                // Truth wins ties: test immunization first.
                 if (draw.bernoulli(p_immunize)) {
-                  out.push_back({static_cast<graph::NodeId>(v),
-                                 Compartment::kRecovered});
+                  out.push_back({v, Compartment::kRecovered});
                 } else if (exposure_count_[v] > 0) {
-                  const auto sources = exposure_sources(v);
-                  edges += sources.size();
-                  const double hazard = gather_over(sources);
-                  if (hazard > 0.0) {
-                    const double rate = lambda_over_k_[v] * hazard;
-                    if (draw.bernoulli(1.0 - std::exp(-rate * dt))) {
-                      out.push_back({static_cast<graph::NodeId>(v),
-                                     Compartment::kInfected});
-                    }
-                  }
+                  decide_infection(v, draw.uniform(), out);
                 }
                 break;
               }
               case Compartment::kInfected: {
                 util::CounterRng draw(util::hash_mix(step_key, v));
                 if (draw.bernoulli(p_block)) {
-                  out.push_back({static_cast<graph::NodeId>(v),
-                                 Compartment::kRecovered});
+                  out.push_back({v, Compartment::kRecovered});
                 }
                 break;
               }
@@ -425,7 +448,6 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
                 break;
             }
           }
-          chunk_edges_[chunk] = edges;
         });
   } else {
     // Sparse steps: only the active set (susceptibles with an infected
@@ -443,21 +465,11 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           const obs::TraceSpan chunk_span("sim.chunk");
           auto& out = chunk_transitions_[chunk];
           out.clear();
-          std::uint64_t edges = 0;
           for (std::size_t at = lo; at < hi; ++at) {
             const graph::NodeId v = active_list_[at];
-            const auto sources = exposure_sources(v);
-            edges += sources.size();
-            const double hazard = gather_over(sources);
-            if (hazard > 0.0) {
-              util::CounterRng draw(util::hash_mix(step_key, v));
-              const double rate = lambda_over_k_[v] * hazard;
-              if (draw.bernoulli(1.0 - std::exp(-rate * dt))) {
-                out.push_back({v, Compartment::kInfected});
-              }
-            }
+            util::CounterRng draw(util::hash_mix(step_key, v));
+            decide_infection(v, draw.uniform(), out);
           }
-          chunk_edges_[chunk] = edges;
         });
     used_chunks = active_chunks;
     if (p_block > 0.0) {
@@ -474,22 +486,66 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
                 out.push_back({v, Compartment::kRecovered});
               }
             }
-            chunk_edges_[active_chunks + chunk] = 0;
           });
       used_chunks += (infected + kStepGrain - 1) / kStepGrain;
     }
   }
 
+  // Settle the draws that fell inside their certification margin with
+  // the reference gather: serially, so no parallel phase ever decodes a
+  // neighbor list, and before any transition applies, so every gather
+  // reads the step-start state.
+  for (std::size_t c = 0; c < used_chunks; ++c) {
+    for (Transition& t : chunk_transitions_[c]) {
+      if (t.to != kUndecided) continue;
+      ++gather_fallbacks_;
+      if (infected_by_gather(t.node, p_immunize, step_key)) {
+        t.to = Compartment::kInfected;
+      }
+    }
+  }
+
   // Apply phase, serial and in chunk order: decisions were made against
   // the step-start state, each node appears at most once, and integer
-  // exposure-count updates commute — so the trajectory is identical for
-  // any thread count (and to the dense engine's double-buffered swap).
+  // exposure updates commute — so the trajectory is identical for any
+  // thread count (and to the dense engine's double-buffered swap).
   for (std::size_t c = 0; c < used_chunks; ++c) {
     for (const Transition& t : chunk_transitions_[c]) {
       apply_transition(t.node, t.to);
     }
-    edges_scanned_ += chunk_edges_[c];
   }
+}
+
+void AgentSimulation::decide_infection(graph::NodeId v, double u,
+                                       std::vector<Transition>& out) const {
+  // δ and m of the header note; H̃ and the grid terms are exact.
+  const auto count = static_cast<double>(exposure_count_[v]);
+  const double sum = static_cast<double>(exposure_sum_[v]) * exposure_unit_;
+  const double delta = count * (0.5 * exposure_unit_) +
+                       gather_error_ * (sum + count * exposure_unit_);
+  const double margin = lambda_over_k(v) * params_.dt * delta + 0x1p-45;
+  const double p = infection_probability(v, sum);
+  // The dense engine infects iff u < p_dense, or without a draw when
+  // p_dense >= 1, and never when its gather is 0 or p_dense <= 0. With
+  // p_dense within the margin of p, u < p − margin is an infection in
+  // every case and u >= p + margin is none; the gather settles the rest.
+  if (u < p - margin) {
+    out.push_back({v, Compartment::kInfected});
+  } else if (u < p + margin) {
+    out.push_back({v, kUndecided});
+  }
+}
+
+bool AgentSimulation::infected_by_gather(graph::NodeId v, double p_immunize,
+                                         std::uint64_t step_key) {
+  util::CounterRng draw(util::hash_mix(step_key, v));
+  // Replays the immunization draw (which failed) so the infection draw
+  // below is the one the dense engine compares.
+  static_cast<void>(draw.bernoulli(p_immunize));
+  const auto sources = exposure_sources(v, decode_scratch_);
+  edges_scanned_ += sources.size();
+  const double hazard = gather_over(sources);
+  return hazard > 0.0 && draw.bernoulli(infection_probability(v, hazard));
 }
 
 void AgentSimulation::apply_transition(graph::NodeId v, Compartment to) {
@@ -512,41 +568,33 @@ void AgentSimulation::apply_transition(graph::NodeId v, Compartment to) {
     }
   }
   if (to == Compartment::kInfected) {
-    infected_weight_[v] = omega_over_k_[v];
-    if (frontier()) scatter_infectiousness(v, true);
+    infected_weight_[v] = omega_over_k(v);
+    if (frontier()) edges_scanned_ += scatter_infectiousness(v, true);
   } else if (from == Compartment::kInfected) {
     infected_weight_[v] = 0.0;
-    if (frontier()) scatter_infectiousness(v, false);
+    if (frontier()) edges_scanned_ += scatter_infectiousness(v, false);
   }
 }
 
-void AgentSimulation::scatter_infectiousness(graph::NodeId u,
-                                             bool became_infectious) {
+std::size_t AgentSimulation::scatter_infectiousness(graph::NodeId u,
+                                                    bool became_infectious) {
   // u's out-neighbors are exactly the nodes whose exposure list
   // contains u (for undirected graphs, neighbors == exposure sources).
-  const double w = omega_over_k_[u];
-  const auto targets = neighbors_of(u);
+  const std::int64_t weight = fixed_weight(u);
+  const auto targets = neighbors_of(u, decode_scratch_);
   for (const graph::NodeId t : targets) {
-    std::uint32_t& count = exposure_count_[t];
     if (became_infectious) {
-      ++count;
-      hazard_[t] += w;
-      if (count == 1 && state_.get(t) == Compartment::kSusceptible) {
+      exposure_sum_[t] += weight;
+      if (++exposure_count_[t] == 1 &&
+          state_.get(t) == Compartment::kSusceptible) {
         active_add(t);
       }
     } else {
-      --count;
-      if (count == 0) {
-        // Resynchronize: with no infected sources left the true sum is
-        // exactly zero, so any accumulated rounding drift is discarded.
-        hazard_[t] = 0.0;
-        active_remove_if_present(t);
-      } else {
-        hazard_[t] -= w;
-      }
+      exposure_sum_[t] -= weight;
+      if (--exposure_count_[t] == 0) active_remove_if_present(t);
     }
   }
-  edges_scanned_ += targets.size();
+  return targets.size();
 }
 
 void AgentSimulation::active_add(graph::NodeId v) {
@@ -579,31 +627,26 @@ void AgentSimulation::infected_remove(graph::NodeId v) {
 }
 
 void AgentSimulation::rebuild_frontier() {
-  const std::size_t n = num_nodes();
+  std::fill(exposure_count_.begin(), exposure_count_.end(), 0);
+  std::fill(exposure_sum_.begin(), exposure_sum_.end(), 0);
   std::fill(active_pos_.begin(), active_pos_.end(), kNoPos);
   std::fill(infected_pos_.begin(), infected_pos_.end(), kNoPos);
   active_list_.clear();
   infected_list_.clear();
-  for (std::size_t v = 0; v < n; ++v) {
-    std::uint32_t count = 0;
-    for (const graph::NodeId u : exposure_sources(v)) {
-      if (state_.get(u) == Compartment::kInfected) ++count;
-    }
-    exposure_count_[v] = count;
-    hazard_[v] = count > 0 ? gather_hazard(v) : 0.0;
-    const graph::NodeId id = static_cast<graph::NodeId>(v);
-    if (state_.get(v) == Compartment::kInfected) {
-      infected_add(id);
-    } else if (state_.get(v) == Compartment::kSusceptible && count > 0) {
-      active_add(id);
-    }
+  // One scatter per infected node: O(n + Σ infected degrees), and on a
+  // compressed graph only the infected nodes' lists are decoded.
+  for (std::size_t v = 0; v < num_nodes(); ++v) {
+    if (state_.get(v) != Compartment::kInfected) continue;
+    const auto id = static_cast<graph::NodeId>(v);
+    infected_add(id);
+    scatter_infectiousness(id, true);
   }
 }
 
 double AgentSimulation::hazard(graph::NodeId v) const {
   util::require(frontier(), "hazard: frontier engine only");
   util::require(v < num_nodes(), "hazard: node out of range");
-  return hazard_[v];
+  return static_cast<double>(exposure_sum_[v]) * exposure_unit_;
 }
 
 std::uint32_t AgentSimulation::exposure_count(graph::NodeId v) const {
@@ -626,7 +669,6 @@ AgentCheckpoint AgentSimulation::checkpoint() const {
   c.ever_infected = ever_infected_;
   c.state.resize(num_nodes());
   for (std::size_t v = 0; v < num_nodes(); ++v) c.state[v] = state_.get(v);
-  if (frontier()) c.hazard = hazard_;
   return c;
 }
 
@@ -636,10 +678,6 @@ void AgentSimulation::restore(const AgentCheckpoint& checkpoint) {
                     std::to_string(checkpoint.state.size()) +
                     " nodes, simulation has " +
                     std::to_string(num_nodes()));
-  util::require(
-      checkpoint.hazard.empty() ||
-          checkpoint.hazard.size() == num_nodes(),
-      "AgentSimulation::restore: hazard size does not match the graph");
   seed_ = checkpoint.seed;
   step_count_ = checkpoint.step_count;
   time_ = checkpoint.time;
@@ -653,7 +691,7 @@ void AgentSimulation::restore(const AgentCheckpoint& checkpoint) {
                   "AgentSimulation::restore: invalid compartment");
     state_.set(v, c);
     infected_weight_[v] =
-        c == Compartment::kInfected ? omega_over_k_[v] : 0.0;
+        c == Compartment::kInfected ? omega_over_k(v) : 0.0;
   }
   std::size_t infected = 0, recovered = 0;
   state_.census(infected, recovered);
@@ -662,17 +700,7 @@ void AgentSimulation::restore(const AgentCheckpoint& checkpoint) {
   util::require(ever_infected_ >= infected_count_,
                 "AgentSimulation::restore: ever_infected below the current "
                 "infected count — inconsistent checkpoint");
-  if (frontier()) {
-    rebuild_frontier();
-    if (!checkpoint.hazard.empty()) {
-      // Carry over the incremental sums verbatim so a resumed run's
-      // diagnostics match an uninterrupted one to the bit. Decisions
-      // never read these, so a checkpoint without them (e.g. written by
-      // the dense engine) resumes the trajectory identically anyway.
-      std::copy(checkpoint.hazard.begin(), checkpoint.hazard.end(),
-                hazard_.begin());
-    }
-  }
+  if (frontier()) rebuild_frontier();
 }
 
 std::vector<Census> AgentSimulation::run_until(double t_end) {

@@ -36,27 +36,43 @@
 //    Double-buffered, chunk-parallel, trivially auditable.
 //
 //  * kFrontier (default) — sparse stepping whose cost scales with the
-//    infected frontier, not the graph: an exposure count and an
-//    incremental hazard sum per node are maintained by deterministic
-//    scatter when nodes enter/leave the infected compartment, and the
-//    step only visits the current infected set plus the active set of
-//    susceptibles with an infected exposure source. A step costs
-//    O(|frontier| + |frontier edges|); on a million-node graph at low
-//    prevalence that is ~1000× less work than the dense sweep (see
-//    docs/performance.md). When ε1(t) > 0 every susceptible can flip,
-//    so those steps degrade gracefully to a full node sweep that still
-//    skips every hazard gather outside the frontier.
+//    infected frontier, not the graph. Per node it keeps the number c_v
+//    of infected exposure sources and their exact exposure sum
+//    A_v = Σ round(w_u·2^s), w_u = ω(k_u)/k_u, in 64-bit fixed point
+//    (the scale s is fixed at construction so that no sum can reach
+//    2^53). Both are maintained by integer scatter when a node enters
+//    or leaves the infected compartment, and a step visits only the
+//    infected set plus the active set of susceptibles with an infected
+//    exposure source — O(|frontier|) work plus the scatters of the
+//    nodes that flip; on a million-node graph at low prevalence that is
+//    ~1000× less than the dense sweep (see docs/performance.md). When
+//    ε1(t) > 0 every susceptible can flip, so those steps sweep all
+//    nodes through kern::Ops::draw_candidates, a SIMD pass that keeps
+//    only nodes whose first draw falls under max(p_immunize, p_block)
+//    or that have an infected source; no other node can flip.
 //
-// Because the per-node draw streams are shared and the frontier's
-// infection probabilities are computed by the *same* fixed-order CSR
-// gather as the dense engine (the incremental hazard sum only gates
-// which nodes are visited — FP associativity would otherwise let the
-// two engines diverge by an ulp), the two engines produce bit-identical
-// trajectories; tests/test_sim_frontier.cpp pins this at 1/2/8 threads
-// and across checkpoint/resume.
+// Both engines draw from the same per-node streams, and the frontier
+// engine decides infections without gathering. With H̃ = A_v·2^-s
+// (exact as a double), c = c_v and D the largest source count of any
+// node, the dense engine's gather G over v's sources satisfies, in any
+// summation order,
+//
+//   |G − H̃| ≤ δ = c·2^-(s+1) + D·2^-52·(H̃ + c·2^-s),
+//
+// so its p = 1 − exp(−(λ_v/k_v)·G·dt) lies within
+// m = (λ_v/k_v)·dt·δ + 2^-45 of p̃, the same expression at H̃ (the
+// constant covers exp and rounding error). A draw u < p̃ − m is
+// therefore an infection and u ≥ p̃ + m is not, exactly as the dense
+// engine decides; only a draw inside the margin falls back to the
+// fixed-order CSR gather itself, in the serial phase before the step's
+// transitions apply. The two engines produce bit-identical
+// trajectories; tests/test_sim_frontier.cpp pins this at 1/2/8 threads,
+// across checkpoint/resume, and against digests of the gather-based
+// engine this one replaced.
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -114,12 +130,6 @@ struct AgentCheckpoint {
   std::array<std::uint64_t, 4> rng_state{};  ///< seeding-draw generator
   std::size_t ever_infected = 0;
   std::vector<Compartment> state;  ///< one entry per node
-  /// Frontier engines only: the incremental per-node exposure sums, so
-  /// a resumed run carries the exact accumulated values rather than a
-  /// freshly re-gathered (ulp-different) rebuild. Never consulted for
-  /// transition decisions — restoring without it (e.g. from a dense
-  /// checkpoint) still resumes the trajectory bit-identically.
-  std::vector<double> hazard;
 };
 
 class AgentSimulation {
@@ -129,8 +139,8 @@ class AgentSimulation {
                   std::uint64_t seed);
 
   /// Run directly on a compressed, sharded graph: neighbor lists are
-  /// decoded block-wise into per-thread scratch during hazard gathers
-  /// and scatters, so the packed CSR is never materialized — the
+  /// decoded block-wise into scratch during hazard gathers and
+  /// scatters, so the packed CSR is never materialized — the
   /// 100M+-edge out-of-core path. Undirected graphs only (the directed
   /// reverse-CSR build would defeat the point of not materializing).
   /// Trajectories are bit-identical to a simulation on the
@@ -227,9 +237,14 @@ class AgentSimulation {
   /// the edges-touched-per-step figure reported by the bench harness.
   std::uint64_t edges_scanned() const { return edges_scanned_; }
 
-  /// Frontier engine only: the incrementally maintained exposure sum
-  /// Σ ω(k_u)/k_u over the currently infected exposure sources of v.
-  /// Diagnostic — transition decisions use the fixed-order CSR gather.
+  /// Frontier engine only: infection draws that fell inside their
+  /// certification margin and were settled by the CSR gather, since
+  /// construction.
+  std::uint64_t gather_fallbacks() const { return gather_fallbacks_; }
+
+  /// Frontier engine only: the exact exposure sum A_v·2^-s — each
+  /// infected source's ω(k_u)/k_u rounded to the fixed-point grid
+  /// 2^-s, summed without rounding error.
   double hazard(graph::NodeId v) const;
 
   /// Frontier engine only: number of infected exposure sources of v.
@@ -245,10 +260,11 @@ class AgentSimulation {
   /// Restore a checkpoint captured from a simulation on the same graph
   /// with the same params (the engine may differ — trajectories are
   /// engine-invariant). Derived quantities (census counters, the
-  /// infected-weight table, exposure counts, active/infected sets) are
-  /// recomputed from the node states; the control schedule is NOT part
-  /// of the checkpoint — re-attach it before stepping if one was in
-  /// use.
+  /// infected-weight table, exposure counts and sums, active/infected
+  /// sets) are recomputed from the node states — integer sums, so they
+  /// equal an uninterrupted run's exactly; the control schedule is NOT
+  /// part of the checkpoint — re-attach it before stepping if one was
+  /// in use.
   void restore(const AgentCheckpoint& checkpoint);
 
  private:
@@ -261,11 +277,12 @@ class AgentSimulation {
     Compartment to;
   };
 
-  /// Per-chunk census deltas for the dense engine's reduction.
+  /// Per-chunk census and edge deltas for the dense engine's reduction.
   struct StepDelta {
     std::int64_t susceptible = 0;
     std::int64_t infected = 0;
     std::int64_t ever = 0;
+    std::uint64_t edges = 0;
   };
 
   /// Shared constructor body: everything derived from per-node degrees
@@ -281,18 +298,19 @@ class AgentSimulation {
   }
 
   /// v's out-neighbors. Packed: a CSR span. Compressed: decoded into
-  /// this thread's scratch — the span stays valid until the calling
-  /// thread's next decode, so use it before touching another list.
-  std::span<const graph::NodeId> neighbors_of(graph::NodeId v) const;
+  /// `scratch` — the span stays valid until its next decode.
+  std::span<const graph::NodeId> neighbors_of(
+      graph::NodeId v, graph::NeighborScratch& scratch) const;
 
   /// Nodes whose infection exposes v: in-neighbors on a directed graph
   /// (infection flows along out-edges), plain neighbors otherwise.
-  std::span<const graph::NodeId> exposure_sources(std::size_t v) const {
+  std::span<const graph::NodeId> exposure_sources(
+      std::size_t v, graph::NeighborScratch& scratch) const {
     if (graph_ != nullptr && graph_->directed()) {
       return {exposure_sources_.data() + exposure_offsets_[v],
               exposure_offsets_[v + 1] - exposure_offsets_[v]};
     }
-    return neighbors_of(static_cast<graph::NodeId>(v));
+    return neighbors_of(static_cast<graph::NodeId>(v), scratch);
   }
 
   void step_dense(double p_immunize, double p_block, std::uint64_t step_key);
@@ -301,31 +319,60 @@ class AgentSimulation {
 
   /// Fixed-CSR-order exposure sum over an already-fetched source list —
   /// the one definition of a node's infection hazard, shared verbatim
-  /// by both engines and both graph representations.
+  /// by the dense engine and the frontier engine's fallback on both
+  /// graph representations.
   double gather_over(std::span<const graph::NodeId> sources) const {
     return ops_->gather_sum(infected_weight_.data(), sources.data(),
                             sources.size());
   }
 
-  double gather_hazard(std::size_t v) const {
-    return gather_over(exposure_sources(v));
+  /// p = 1 − exp(−(λ_v/k_v)·hazard·dt), the one expression that turns
+  /// an exposure sum into an infection probability.
+  double infection_probability(std::size_t v, double hazard) const {
+    const double rate = lambda_over_k(v) * hazard;
+    return 1.0 - std::exp(-rate * params_.dt);
+  }
+
+  /// Decide susceptible v's infection draw u from its exact exposure
+  /// sum (header note) into a chunk buffer: an infection, nothing, or —
+  /// when u lies within the margin — an undecided entry (a transition
+  /// to kSusceptible) for the serial gather to settle.
+  void decide_infection(graph::NodeId v, double u,
+                        std::vector<Transition>& out) const;
+
+  /// The dense engine's decision for susceptible v, replayed from its
+  /// stream: the fixed-order gather and the reference draw comparison.
+  bool infected_by_gather(graph::NodeId v, double p_immunize,
+                          std::uint64_t step_key);
+
+  /// Per-node views of the per-group tables: λ(k_v)/k_v, ω(k_v)/k_v,
+  /// and ω(k_v)/k_v on the fixed-point grid, round(w_v·2^s).
+  double lambda_over_k(std::size_t v) const {
+    return group_lambda_over_k_[group_of_[v]];
+  }
+  double omega_over_k(std::size_t v) const {
+    return group_omega_over_k_[group_of_[v]];
+  }
+  std::int64_t fixed_weight(std::size_t v) const {
+    return group_fixed_weight_[group_of_[v]];
   }
 
   /// Flip v to `to`, maintaining counters, the infected-weight table
-  /// and (frontier engine) the exposure counts / hazard sums / active
-  /// and infected sets. No-op when v already is in `to`.
+  /// and (frontier engine) the exposure counts / sums / active and
+  /// infected sets. No-op when v already is in `to`.
   void apply_transition(graph::NodeId v, Compartment to);
 
-  /// Add/remove ω(k_u)/k_u exposure from every node u exposes.
-  void scatter_infectiousness(graph::NodeId u, bool became_infectious);
+  /// Add/remove u's fixed-point weight to/from every node u exposes;
+  /// returns the number of CSR entries touched.
+  std::size_t scatter_infectiousness(graph::NodeId u, bool became_infectious);
 
   void active_add(graph::NodeId v);
   void active_remove_if_present(graph::NodeId v);
   void infected_add(graph::NodeId v);
   void infected_remove(graph::NodeId v);
 
-  /// Rebuild exposure counts, hazard sums and the active/infected sets
-  /// from the compartment array (restore path).
+  /// Rebuild exposure counts and sums and the active/infected sets from
+  /// the compartment array (restore path).
   void rebuild_frontier();
 
   bool frontier() const { return params_.engine == AgentEngine::kFrontier; }
@@ -343,17 +390,18 @@ class AgentSimulation {
   double time_ = 0.0;
   // Hot per-node state, SoA with 2-bit packed compartments.
   PackedCompartments state_;
-  std::vector<double> lambda_over_k_;  // λ(k_v)/k_v per node
-  std::vector<double> omega_over_k_;   // ω(k_u)/k_u per node
   // infected_weight_[u] = ω(k_u)/k_u while u is infected, else 0 —
   // makes the hazard gather a branch-free sum.
   std::vector<double> infected_weight_;
   // Dense engine double buffers (empty under the frontier engine).
   PackedCompartments next_state_;
   std::vector<double> next_infected_weight_;
+  std::vector<StepDelta> chunk_deltas_;  // dense engine reduction
   // Frontier engine incremental structures (empty under dense).
   std::vector<std::uint32_t> exposure_count_;  // infected exposure sources
-  std::vector<double> hazard_;                 // incremental exposure sum
+  std::vector<std::int64_t> exposure_sum_;     // A_v, exact fixed point
+  double exposure_unit_ = 1.0;                 // 2^-s
+  double gather_error_ = 0.0;                  // D·2^-52 (header note)
   std::vector<graph::NodeId> active_list_;     // S nodes with count > 0
   std::vector<std::uint32_t> active_pos_;      // node → index, kNoPos if out
   std::vector<graph::NodeId> infected_list_;
@@ -361,18 +409,23 @@ class AgentSimulation {
   // Per-chunk transition buffers (capacity reserved up front: at most
   // one transition per node, so warm steps never allocate).
   std::vector<std::vector<Transition>> chunk_transitions_;
-  std::vector<std::uint64_t> chunk_edges_;
-  std::vector<StepDelta> chunk_deltas_;  // dense engine reduction
+  // Decode target of the frontier engine's serial scatters, rebuilds
+  // and fallback gathers, sized to the maximum degree at construction.
+  graph::NeighborScratch decode_scratch_;
   // Reverse (in-neighbor) CSR, built once for directed graphs only.
   std::vector<std::size_t> exposure_offsets_;
   std::vector<graph::NodeId> exposure_sources_;
-  std::vector<std::size_t> group_of_;  // node → distinct-degree group
+  std::vector<std::uint32_t> group_of_;     // node → distinct-degree group
   std::vector<std::size_t> group_degrees_;  // sorted distinct degrees
   std::vector<std::size_t> group_sizes_;    // nodes per group
+  std::vector<double> group_lambda_over_k_;  // λ(k)/k per group
+  std::vector<double> group_omega_over_k_;   // ω(k)/k per group
+  std::vector<std::int64_t> group_fixed_weight_;  // frontier: grid ω(k)/k
   std::size_t susceptible_count_ = 0;
   std::size_t infected_count_ = 0;
   std::size_t ever_infected_ = 0;
   std::uint64_t edges_scanned_ = 0;
+  std::uint64_t gather_fallbacks_ = 0;
 };
 
 }  // namespace rumor::sim

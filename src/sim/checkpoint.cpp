@@ -32,18 +32,6 @@ void append_agent_checkpoint(io::ContainerWriter& writer,
     state.u8(static_cast<std::uint8_t>(compartment));
   }
   writer.add_section("agent.state", std::move(state));
-
-  // Frontier engines also persist their incremental exposure sums, so a
-  // resumed run's diagnostics carry the exact accumulated values. The
-  // section is optional on restore: trajectories never depend on it, so
-  // dense-engine checkpoints (which omit it) resume bit-identically
-  // under either engine.
-  if (!c.hazard.empty()) {
-    io::ByteWriter hazard;
-    hazard.u64(c.hazard.size());
-    for (const double h : c.hazard) hazard.f64(h);
-    writer.add_section("agent.hazard", std::move(hazard));
-  }
 }
 
 void restore_agent_checkpoint(const io::ContainerReader& reader,
@@ -102,16 +90,15 @@ void restore_agent_checkpoint(const io::ContainerReader& reader,
   state.expect_end();
 
   if (reader.has("agent.hazard")) {
+    // Written by older frontier engines: validated, then ignored — the
+    // restore recomputes the exact exposure sums from the states.
     io::ByteReader hazard = reader.reader("agent.hazard");
     const std::uint64_t entries = hazard.u64();
     if (entries != num_nodes) {
       fail("hazard section has " + std::to_string(entries) +
            " entries, expected " + std::to_string(num_nodes));
     }
-    c.hazard.reserve(entries);
-    for (std::uint64_t v = 0; v < entries; ++v) {
-      c.hazard.push_back(hazard.f64());
-    }
+    for (std::uint64_t v = 0; v < entries; ++v) hazard.f64();
     hazard.expect_end();
   }
 

@@ -4,9 +4,12 @@
 //   agent.meta    format guard: num_nodes · num_arcs · directed · dt ·
 //                 seed · step_count · time · rng state · ever_infected
 //   agent.state   one byte per node (compartment)
-//   agent.hazard  (optional, frontier engine) one f64 per node — the
-//                 incremental exposure sums; absent sections restore
-//                 fine because transition decisions never read them
+//
+// Checkpoints from older frontier engines may also carry agent.hazard
+// (one f64 per node, their floating-point exposure sums). It is no
+// longer written; on load its size is validated and its values are
+// ignored, since the restore recomputes the exact exposure sums from
+// the states.
 //
 // The meta section pins the run configuration: restoring onto a
 // simulation whose graph shape or dt differs fails with util::IoError

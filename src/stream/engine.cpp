@@ -165,11 +165,10 @@ void StreamEngine::apply(const Event& event) {
 
 void StreamEngine::sync_sim() {
   if (!topo_dirty_ && !params_dirty_) return;
-  // Capture → rebuild → restore. The hazard sums are cleared so the
-  // restore re-gathers them against the *new* topology; they are
-  // diagnostic-only, so decisions are unaffected (sim/agent_sim.hpp).
-  sim::AgentCheckpoint checkpoint = sim_->checkpoint();
-  checkpoint.hazard.clear();
+  // Capture → rebuild → restore. The checkpoint holds node states
+  // only; the restore recomputes every exposure count and sum against
+  // the *new* topology (sim/agent_sim.hpp).
+  const sim::AgentCheckpoint checkpoint = sim_->checkpoint();
   csr_ = std::make_unique<graph::Graph>(live_.build_csr());
   sim_ = std::make_unique<sim::AgentSimulation>(*csr_, agent_params(),
                                                 config_.seed);

@@ -12,12 +12,13 @@
 //
 // Tick protocol (docs/streaming.md): edge/param events only mark state
 // dirty; at the next `tick` the engine captures the simulation's
-// checkpoint (hazard cleared so the restore re-gathers canonically),
-// freezes the LiveGraph into a fresh CSR, reconstructs the simulation,
-// and restores the checkpoint. Because per-step randomness is keyed by
-// (seed, step, node) — independent of topology and thread count — the
-// rebuilt run continues the same trajectory the uninterrupted graph
-// would have produced under the new topology.
+// checkpoint (node states only), freezes the LiveGraph into a fresh
+// CSR, reconstructs the simulation, and restores the checkpoint, which
+// recomputes the exposure structures against the new topology. Because
+// per-step randomness is keyed by (seed, step, node) — independent of
+// topology and thread count — the rebuilt run continues the same
+// trajectory the uninterrupted graph would have produced under the new
+// topology.
 //
 // Determinism contract: every field of every DecisionRow is a pure
 // function of (config, event sequence). Wall-clock timings are recorded

@@ -14,8 +14,15 @@
 namespace rumor::util {
 
 /// splitmix64: used to expand a single 64-bit seed into xoshiro state.
-/// Advances `state` and returns the next output.
-std::uint64_t splitmix64_next(std::uint64_t& state);
+/// Advances `state` and returns the next output. Inline: the agent
+/// simulator calls it three times per drawn node per step.
+inline std::uint64_t splitmix64_next(std::uint64_t& state) {
+  state += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless splitmix64 hash of a single word: the output of one
 /// splitmix64 step starting from `x`. Used to decorrelate structured

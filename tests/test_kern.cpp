@@ -4,7 +4,7 @@
 // unaligned offsets, so each SIMD implementation exercises its empty,
 // partial-vector, exactly-one-vector, and multi-vector-plus-tail paths
 // against the scalar reference. The determinism policy of kern.hpp is
-// enforced literally: elementwise kernels and the integer census must
+// enforced literally: elementwise kernels and the integer kernels must
 // match the scalar backend bit for bit; reductions (which reassociate
 // under SIMD) must match to ULP-scale tolerance; the fused RK4 step
 // kernels must be bitwise equal to the unfused kernel sequence of the
@@ -357,6 +357,80 @@ TEST(KernSweep, Census2ExactInEveryBackend) {
   }
 }
 
+TEST(KernSweep, DrawCandidatesExactInEveryBackend) {
+  // Every backend must return exactly the ids a scalar CounterRng loop
+  // selects, in ascending order, and write nothing past its range.
+  std::vector<const kern::Ops*> backends = simd_backends();
+  backends.push_back(&kern::ops(kern::Backend::kScalar));
+  util::Xoshiro256 rng(97531);
+  constexpr std::uint32_t kSentinel = 0xFFFFFFFFu;
+  for (std::size_t n = 0; n <= 70; ++n) {
+    for (const std::size_t lo : {1UL, 3UL, 17UL, 1001UL}) {
+      const std::uint64_t thresholds[] = {0, 1, rng() >> 11,
+                                          kern::draw_threshold(0.05),
+                                          std::uint64_t{1} << 53};
+      for (const std::uint64_t threshold : thresholds) {
+        const std::uint64_t key = rng();
+        std::vector<std::uint32_t> exposure(lo + n);
+        for (auto& count : exposure) {
+          count = rng.uniform_index(4) == 0
+                      ? static_cast<std::uint32_t>(1 + rng.uniform_index(9))
+                      : 0u;
+        }
+        std::vector<std::uint32_t> want;
+        for (std::size_t v = lo; v < lo + n; ++v) {
+          util::CounterRng draw(util::hash_mix(key, v));
+          if ((draw.next() >> 11) < threshold || exposure[v] != 0) {
+            want.push_back(static_cast<std::uint32_t>(v));
+          }
+        }
+        for (const kern::Ops* ops : backends) {
+          std::vector<std::uint32_t> got(n + 1, kSentinel);
+          const std::size_t count = ops->draw_candidates(
+              key, threshold, exposure.data(), lo, lo + n, got.data());
+          ASSERT_EQ(count, want.size())
+              << kern::to_string(ops->backend) << " n=" << n << " lo=" << lo
+              << " threshold=" << threshold;
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << kern::to_string(ops->backend) << " i=" << i << " n=" << n;
+          }
+          ASSERT_EQ(got[n], kSentinel)
+              << kern::to_string(ops->backend) << " wrote past n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernSweep, DrawThresholdMatchesBernoulli) {
+  // x < draw_threshold(p) must be exactly CounterRng::bernoulli(p)'s
+  // test on the same draw, including the degenerate probabilities.
+  util::Xoshiro256 rng(8642);
+  const double probabilities[] = {
+      -1.0, 0.0, 0x1p-53, 1e-300, 0.3, 0.5, 1.0 - 0x1p-53, 1.0, 1.5,
+      std::nan("")};
+  for (const double p : probabilities) {
+    for (int q = 0; q < 2000; ++q) {
+      const std::uint64_t key = rng();
+      util::CounterRng reference(key);
+      util::CounterRng integer(key);
+      const bool want = reference.bernoulli(p);
+      const bool got = (integer.next() >> 11) < kern::draw_threshold(p);
+      ASSERT_EQ(got, want) << "p=" << p;
+    }
+  }
+  for (int q = 0; q < 2000; ++q) {
+    const double p = rng.uniform();
+    const std::uint64_t x = rng() >> 11;
+    ASSERT_EQ(x < kern::draw_threshold(p),
+              static_cast<double>(x) * 0x1.0p-53 < p)
+        << "p=" << p << " x=" << x;
+  }
+  EXPECT_EQ(kern::draw_threshold(0.0), 0u);
+  EXPECT_EQ(kern::draw_threshold(1.0), std::uint64_t{1} << 53);
+}
+
 TEST(KernDispatch, ParseBackendRoundTrips) {
   EXPECT_EQ(kern::parse_backend("scalar"), kern::Backend::kScalar);
   EXPECT_EQ(kern::parse_backend("avx2"), kern::Backend::kAvx2);
@@ -412,6 +486,8 @@ TEST(KernDispatch, PublishedTablesAreComplete) {
     EXPECT_NE(ops.accumulate, nullptr);
     EXPECT_NE(ops.accumulate_sq, nullptr);
     EXPECT_NE(ops.census2, nullptr);
+    EXPECT_NE(ops.varint_decode_deltas, nullptr);
+    EXPECT_NE(ops.draw_candidates, nullptr);
   }
 }
 
@@ -701,6 +777,7 @@ TEST(KernDispatch, ZeroLengthIsValidEverywhere) {
     ops.census2(nullptr, 0, c);
     EXPECT_EQ(c[0], 0u);
     EXPECT_EQ(c[1], 0u);
+    EXPECT_EQ(ops.draw_candidates(1, 0, nullptr, 5, 5, nullptr), 0u);
   }
 }
 

@@ -6,10 +6,15 @@
 // construction (warm-up), the costate RHS, the trajectory cursor, and
 // the fixed-step integration inner loop allocate nothing.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "control/costate.hpp"
 #include "core/sir_model.hpp"
 #include "graph/generators.hpp"
+#include "io/graph_compressed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "ode/integrate.hpp"
@@ -101,11 +106,17 @@ TEST(AllocCount, WarmIntegrationAllocationsIndependentOfStepCount) {
   EXPECT_EQ(long_run, short_run);
 }
 
-void expect_warm_steps_allocation_free(sim::AgentEngine engine,
+graph::Graph alloc_test_graph() {
+  util::Xoshiro256 rng(51);
+  return graph::barabasi_albert(10000, 3, rng);
+}
+
+/// `g` is a packed or a compressed graph.
+template <typename AnyGraph>
+void expect_warm_steps_allocation_free(const AnyGraph& g,
+                                       sim::AgentEngine engine,
                                        std::size_t threads) {
   util::set_num_threads(threads);
-  util::Xoshiro256 rng(51);
-  const auto g = graph::barabasi_albert(10000, 3, rng);
   sim::AgentParams params;
   params.epsilon1 = 0.01;  // exercises the full-sweep frontier mode too
   params.epsilon2 = 0.05;
@@ -156,16 +167,52 @@ TEST(AllocCount, DenseAgentStepsAreAllocationFree) {
   // Every per-step buffer (chunk deltas, double buffers) is sized at
   // construction; parallel dispatch itself is allocation-free since
   // ThreadPool::run takes a borrowed IndexFnRef, not a std::function.
-  expect_warm_steps_allocation_free(sim::AgentEngine::kDense, 1);
-  expect_warm_steps_allocation_free(sim::AgentEngine::kDense, 4);
+  const auto g = alloc_test_graph();
+  expect_warm_steps_allocation_free(g, sim::AgentEngine::kDense, 1);
+  expect_warm_steps_allocation_free(g, sim::AgentEngine::kDense, 4);
 }
 
 TEST(AllocCount, FrontierAgentStepsAreAllocationFree) {
   // Transition buffers are reserved to the chunk grain and the
   // active/infected lists to n up front, so warm steps — including
   // scatter-driven list membership churn — never touch the allocator.
-  expect_warm_steps_allocation_free(sim::AgentEngine::kFrontier, 1);
-  expect_warm_steps_allocation_free(sim::AgentEngine::kFrontier, 4);
+  const auto g = alloc_test_graph();
+  expect_warm_steps_allocation_free(g, sim::AgentEngine::kFrontier, 1);
+  expect_warm_steps_allocation_free(g, sim::AgentEngine::kFrontier, 4);
+}
+
+TEST(AllocCount, CompressedFrontierStepsAreAllocationFree) {
+  // Frontier steps decode neighbor lists only in their serial phases,
+  // into scratch the simulation sizes to the maximum degree up front,
+  // so no worker thread grows a decode buffer of its own. The adverse
+  // case runs first, while the pool workers have decoded nothing: a
+  // sparse run warmed by one step whose active set fits one chunk, so
+  // workers would meet their first list only once it outgrows a chunk.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("rumor_alloc_" + std::to_string(::getpid()) + ".zg"))
+          .string();
+  io::save_graph_compressed(alloc_test_graph(), path);
+  const auto zg = io::load_compressed_graph(path);
+  {
+    util::set_num_threads(4);
+    // Start the pool's workers without letting them decode anything.
+    util::parallel_for(std::size_t{0}, std::size_t{64}, 1, [](std::size_t) {});
+    sim::AgentParams params;
+    params.epsilon2 = 0.05;
+    sim::AgentSimulation simulation(*zg, params, /*seed=*/3);
+    simulation.seed_random_infections(5);
+    simulation.step();  // warm-up
+    const auto before = util::allocation_count();
+    for (int s = 0; s < 100; ++s) simulation.step();
+    EXPECT_EQ(util::allocation_count() - before, 0u);
+    EXPECT_GT(simulation.active_count(), 2048u)
+        << "the active set never outgrew one chunk";
+    util::set_num_threads(0);
+  }
+  expect_warm_steps_allocation_free(*zg, sim::AgentEngine::kFrontier, 1);
+  expect_warm_steps_allocation_free(*zg, sim::AgentEngine::kFrontier, 4);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

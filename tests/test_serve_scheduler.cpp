@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "io/graph_binary.hpp"
@@ -299,6 +300,34 @@ TEST_F(ServeSchedulerTest, UnknownIdsAreReportedNotFound) {
   EXPECT_FALSE(sched.job_json(999).has_value());
   EXPECT_FALSE(sched.cancel(999));
   EXPECT_FALSE(sched.wait(999, 10ms));
+}
+
+TEST_F(ServeSchedulerTest, ForgetsTheOldestFinishedJobsPastTheBound) {
+  constexpr std::size_t kDepth = 2;
+  constexpr std::size_t kRetained =
+      Scheduler::kRetainedPerQueueSlot * kDepth;
+  constexpr std::size_t kForgotten = 3;
+  Scheduler sched(options(1, kDepth));
+  // One job at a time, so jobs finish in submission order.
+  std::vector<std::uint64_t> ids;
+  for (std::size_t j = 0; j < kRetained + kForgotten; ++j) {
+    io::JsonValue spec = spec_with_graph();
+    spec.set("t_end", 1.0);
+    spec.set("seed", static_cast<double>(j + 1));
+    const auto sub = sched.submit(JobType::kSimulate, std::move(spec), 0, 0);
+    ASSERT_NE(sub.job, nullptr);
+    ASSERT_TRUE(sched.wait(sub.job->id, 30000ms));
+    ids.push_back(sub.job->id);
+  }
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    if (j < kForgotten) {
+      EXPECT_FALSE(sched.job_json(ids[j]).has_value()) << "job " << j;
+      EXPECT_FALSE(sched.wait(ids[j], 1ms)) << "job " << j;
+      EXPECT_FALSE(sched.cancel(ids[j])) << "job " << j;
+    } else {
+      EXPECT_EQ(state_of(sched, ids[j]), "done") << "job " << j;
+    }
+  }
 }
 
 }  // namespace

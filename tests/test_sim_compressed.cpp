@@ -6,6 +6,7 @@
 // (write against packed, resume against compressed, and vice versa),
 // and an armed resident budget changes paging behavior, never results.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -39,8 +40,12 @@ class ThreadCountGuard {
   ~ThreadCountGuard() { util::set_num_threads(0); }
 };
 
+// Per-process paths: ctest runs the tests of this binary as parallel
+// processes, and each Fixture writes and removes its own graph file.
 std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / ("rumor_simz_" + name)).string();
+  return (fs::temp_directory_path() /
+          ("rumor_simz_" + std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 sim::AgentParams test_params(sim::AgentEngine engine) {

@@ -1,21 +1,30 @@
 // The frontier engine's contract: it is a bit-exact replica of the
 // dense reference sweep — same per-(seed, step, node) draw streams,
-// same fixed-order hazard gathers — that merely skips nodes which
-// provably cannot flip. These tests pin that equivalence across thread
-// counts, graph directedness, control-schedule mode switches, and
-// checkpoint/resume (including resuming a dense checkpoint under the
-// frontier engine), and stress-check the incremental exposure
-// structures against fresh recomputation.
+// infection decisions certified equal to the fixed-order hazard gather
+// — that merely skips nodes which provably cannot flip. These tests
+// pin that equivalence across thread counts, graph directedness,
+// control-schedule mode switches, and checkpoint/resume (including
+// resuming a dense checkpoint under the frontier engine), pin end-state
+// digests of the gather-based engine the certified one replaced, and
+// stress-check the incremental exposure structures against fresh
+// recomputation.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "graph/compressed.hpp"
 #include "graph/generators.hpp"
+#include "graph/reorder.hpp"
+#include "io/crc32.hpp"
+#include "io/graph_compressed.hpp"
 #include "sim/agent_sim.hpp"
 #include "sim/checkpoint.hpp"
 #include "util/parallel.hpp"
@@ -77,6 +86,17 @@ graph::Graph test_graph() {
   return graph::barabasi_albert(3000, 3, rng);
 }
 
+graph::Graph directed_test_graph() {
+  graph::GraphBuilder builder(500, /*directed=*/true);
+  util::Xoshiro256 rng(23);
+  for (int e = 0; e < 3000; ++e) {
+    const auto u = static_cast<graph::NodeId>(rng.uniform_index(500));
+    const auto v = static_cast<graph::NodeId>(rng.uniform_index(500));
+    if (u != v) builder.add_edge(u, v);
+  }
+  return std::move(builder).build(/*deduplicate=*/true);
+}
+
 AgentParams base_params(double eps1, double eps2) {
   AgentParams params;
   params.lambda = core::Acceptance::linear(1.0);
@@ -122,14 +142,7 @@ TEST(SimFrontier, MatchesDenseWithPureSpreading) {
 TEST(SimFrontier, MatchesDenseOnDirectedGraphs) {
   // Directed graphs split "who exposes me" (reverse CSR, gathers) from
   // "whom I expose" (forward CSR, scatters).
-  graph::GraphBuilder builder(500, /*directed=*/true);
-  util::Xoshiro256 rng(23);
-  for (int e = 0; e < 3000; ++e) {
-    const auto u = static_cast<graph::NodeId>(rng.uniform_index(500));
-    const auto v = static_cast<graph::NodeId>(rng.uniform_index(500));
-    if (u != v) builder.add_edge(u, v);
-  }
-  const auto g = std::move(builder).build(/*deduplicate=*/true);
+  const auto g = directed_test_graph();
   for (const double eps1 : {0.0, 0.05}) {
     const auto params = base_params(eps1, 0.1);
     const auto dense = run_engine(g, params, AgentEngine::kDense, 1, 80);
@@ -223,6 +236,8 @@ TEST(SimFrontier, CheckpointResumeIsBitIdentical) {
 }
 
 TEST(SimFrontier, FrontierCheckpointRoundTripsHazardBitwise) {
+  // The exposure sums are exact integers, so the restore's recomputation
+  // from the node states reproduces the uninterrupted run's bit for bit.
   const auto g = test_graph();
   auto params = base_params(0.0, 0.1);
   params.engine = AgentEngine::kFrontier;
@@ -237,9 +252,6 @@ TEST(SimFrontier, FrontierCheckpointRoundTripsHazardBitwise) {
   load_agent_checkpoint(resumed, file.path);
   for (std::size_t v = 0; v < g.num_nodes(); ++v) {
     const auto id = static_cast<graph::NodeId>(v);
-    // Bitwise: the incremental sums are carried verbatim through the
-    // agent.hazard section, not re-gathered (which could differ by an
-    // ulp after long incremental histories).
     EXPECT_EQ(simulation.hazard(id), resumed.hazard(id)) << "node " << v;
     EXPECT_EQ(simulation.exposure_count(id), resumed.exposure_count(id));
   }
@@ -276,15 +288,162 @@ TEST(SimFrontier, DenseCheckpointResumesUnderFrontierEngine) {
   EXPECT_EQ(resumed.ever_infected(), reference.ever_infected);
 }
 
+// ---- pinned digests -------------------------------------------------
+//
+// End-state fingerprints of small runs, recorded from the gather-based
+// frontier engine that the certified decisions replaced; that engine
+// produced the same values under the scalar, AVX2 and AVX-512 kernels
+// and at 1/2/8 threads. Both engines must keep reproducing them.
+
+struct Digest {
+  std::uint32_t state_crc = 0;    // CRC32 of the per-node compartments
+  std::size_t ever_infected = 0;
+  std::uint32_t history_crc = 0;  // CRC32 of the (S, I, R) census per step
+  bool operator==(const Digest&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Digest& d) {
+  return os << "{" << d.state_crc << "u, " << d.ever_infected << ", "
+            << d.history_crc << "u}";
+}
+
+Digest run_digest(AgentSimulation& simulation, int steps) {
+  std::vector<std::uint64_t> history;
+  for (int s = 0; s < steps; ++s) {
+    simulation.step();
+    const Census c = simulation.census();
+    history.insert(history.end(), {c.susceptible, c.infected, c.recovered});
+  }
+  std::vector<std::byte> states(simulation.num_nodes());
+  for (std::size_t v = 0; v < states.size(); ++v) {
+    states[v] =
+        static_cast<std::byte>(simulation.state(static_cast<graph::NodeId>(v)));
+  }
+  Digest d;
+  d.state_crc = io::crc32(states);
+  d.ever_infected = simulation.ever_infected();
+  d.history_crc =
+      io::crc32(std::as_bytes(std::span<const std::uint64_t>(history)));
+  return d;
+}
+
+/// Packed specs: {graph, params, optional schedule, seed, steps}.
+Digest packed_digest(int spec, AgentEngine engine, std::size_t threads) {
+  ThreadCountGuard guard(threads);
+  const graph::Graph g = spec == 3 ? directed_test_graph() : test_graph();
+  AgentParams params = spec == 0   ? base_params(0.02, 0.15)
+                       : spec == 1 ? base_params(0.0, 0.15)
+                       : spec == 2 ? base_params(0.0, 0.0)
+                                   : base_params(0.05, 0.1);
+  params.engine = engine;
+  AgentSimulation simulation(g, params, spec == 2 ? 99 : 321);
+  simulation.seed_random_infections(10);
+  if (spec == 2) {
+    // ε1 switches on mid-run and off again: sparse and sweep steps mix.
+    simulation.set_control_schedule(
+        std::make_shared<const core::FunctionControl>(
+            [](double t) { return t >= 2.0 && t < 5.0 ? 0.3 : 0.0; },
+            [](double t) { return t >= 3.0 ? 0.2 : 0.0; }));
+  }
+  return run_digest(simulation, 80);
+}
+
+/// GRAPHCSZ specs (ε1 > 0 and ε1 = 0) on a degree-sorted BA graph,
+/// stepped on the compressed form or on the packed graph it encodes.
+class CompressedDigests {
+ public:
+  CompressedDigests() : packed_(canonical_ba()) {
+    // Per-process path: ctest runs test binaries in parallel.
+    path_ = (std::filesystem::temp_directory_path() /
+             ("rumor_pinned_" + std::to_string(::getpid()) + ".zg"))
+                .string();
+    io::save_graph_compressed(packed_, path_);
+    compressed_ = io::load_compressed_graph(path_);
+  }
+  ~CompressedDigests() {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+
+  Digest run(int spec, bool compressed, AgentEngine engine,
+             std::size_t threads) const {
+    ThreadCountGuard guard(threads);
+    AgentParams params;
+    params.lambda = core::Acceptance::linear(0.8);
+    params.omega = core::Infectivity::saturating(0.6, 0.4);
+    params.epsilon1 = spec == 0 ? 0.01 : 0.0;
+    params.epsilon2 = 0.05;
+    params.engine = engine;
+    AgentSimulation simulation =
+        compressed ? AgentSimulation(*compressed_, params, 1234)
+                   : AgentSimulation(packed_, params, 1234);
+    simulation.seed_infections({0, 5, 17});
+    return run_digest(simulation, 60);
+  }
+
+ private:
+  static graph::Graph canonical_ba() {
+    util::Xoshiro256 rng(99);
+    const graph::Graph g = graph::barabasi_albert(800, 3, rng);
+    return graph::apply_node_order(g, graph::degree_sorted_order(g));
+  }
+
+  graph::Graph packed_;
+  std::string path_;
+  std::shared_ptr<graph::CompressedGraph> compressed_;
+};
+
+// {immunizing, sparse, ε1-switching schedule, directed}.
+constexpr Digest kPackedPinned[] = {
+    {180810390u, 201, 4147374467u},
+    {270708945u, 327, 866690100u},
+    {3873110608u, 136, 2355148511u},
+    {2030768777u, 30, 2609387847u},
+};
+// {immunizing, sparse} on the GRAPHCSZ graph and its packed twin.
+constexpr Digest kCompressedPinned[] = {
+    {4000554185u, 74, 3563690348u},
+    {639057120u, 92, 1818123596u},
+};
+
+TEST(SimFrontier, ReproducesPinnedDigestsOfTheGatherEngine) {
+  for (int spec = 0; spec < 4; ++spec) {
+    EXPECT_EQ(packed_digest(spec, AgentEngine::kDense, 1),
+              kPackedPinned[spec])
+        << "dense, packed spec " << spec;
+    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+      EXPECT_EQ(packed_digest(spec, AgentEngine::kFrontier, threads),
+                kPackedPinned[spec])
+          << "packed spec " << spec << ", " << threads << " threads";
+    }
+  }
+  const CompressedDigests runs;
+  for (int spec = 0; spec < 2; ++spec) {
+    for (const bool compressed : {false, true}) {
+      EXPECT_EQ(runs.run(spec, compressed, AgentEngine::kDense, 1),
+                kCompressedPinned[spec])
+          << "dense, compressed spec " << spec << " on "
+          << (compressed ? "GRAPHCSZ" : "packed");
+      for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+        EXPECT_EQ(runs.run(spec, compressed, AgentEngine::kFrontier, threads),
+                  kCompressedPinned[spec])
+            << "compressed spec " << spec << " on "
+            << (compressed ? "GRAPHCSZ" : "packed") << ", " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
 // ---- incremental-structure stress test -----------------------------
 
 TEST(SimFrontier, IncrementalHazardTracksFreshGatherUnderStress) {
   // Randomized workload: spreading dynamics interleaved with external
   // seeding and blocking (the operations that scatter exposure deltas).
   // Every few steps, cross-check the incremental exposure counts
-  // (exactly) and hazard sums (to accumulated-rounding tolerance)
-  // against a fresh recomputation from the node states, and verify the
-  // active set is exactly {susceptible v : exposure_count(v) > 0}.
+  // (exactly) and hazard sums (to fixed-point grid tolerance) against a
+  // fresh recomputation from the node states, and verify the active set
+  // is exactly {susceptible v : exposure_count(v) > 0}.
   util::Xoshiro256 graph_rng(29);
   const auto g = graph::barabasi_albert(1200, 4, graph_rng);
   auto params = base_params(0.0, 0.2);
@@ -329,7 +488,7 @@ TEST(SimFrontier, IncrementalHazardTracksFreshGatherUnderStress) {
       ASSERT_EQ(simulation.exposure_count(id), count) << "node " << v;
       ASSERT_NEAR(simulation.hazard(id), fresh, 1e-9) << "node " << v;
       if (count == 0) {
-        // The count-zero reset pins the incremental sum to exactly 0.
+        // Integer sums return to exactly 0 with the last source.
         ASSERT_EQ(simulation.hazard(id), 0.0) << "node " << v;
       }
       if (simulation.state(id) == Compartment::kSusceptible && count > 0) {
