@@ -1,5 +1,6 @@
-// Reference bodies for the lane-per-problem batched kernels, shared by
-// the scalar backend and by the SIMD backends' remainder-lane paths.
+// Reference bodies for the lane-per-problem batched kernels: the scalar
+// backend's table entries, and the reference tests/test_kern.cpp holds
+// the SIMD backends to.
 //
 // Layout contract: every batched array is lane-interleaved SoA —
 // a[j * lanes + l] is component j of problem l. Reductions iterate over
@@ -9,9 +10,6 @@
 // results bit-identical across ALL backends, and bit-identical to the
 // scalar backend's sequential one-problem solve — see the determinism
 // policy in kern.hpp.
-//
-// Every body takes a [lane_lo, lane_hi) range so the SIMD backends can
-// delegate the lanes their vector width does not cover.
 //
 // Internal header: include only from src/kern/*.cpp.
 #pragma once
@@ -23,9 +21,8 @@
 namespace rumor::kern::batchref {
 
 inline void dot(const double* a, const double* b, std::size_t n,
-                std::size_t lanes, std::size_t lane_lo, std::size_t lane_hi,
-                double* out) {
-  for (std::size_t l = lane_lo; l < lane_hi; ++l) {
+                std::size_t lanes, double* out) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     double acc = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
       acc += a[j * lanes + l] * b[j * lanes + l];
@@ -35,9 +32,8 @@ inline void dot(const double* a, const double* b, std::size_t n,
 }
 
 inline void trapezoid(const double* t, const double* y, std::size_t n,
-                      std::size_t lanes, std::size_t lane_lo,
-                      std::size_t lane_hi, double* out) {
-  for (std::size_t l = lane_lo; l < lane_hi; ++l) {
+                      std::size_t lanes, double* out) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     double acc = 0.0;
     for (std::size_t i = 1; i < n; ++i) {
       const double dt = t[i] - t[i - 1];
@@ -49,8 +45,8 @@ inline void trapezoid(const double* t, const double* y, std::size_t n,
 
 inline void knot4(const double* s, const double* i, const double* psi,
                   const double* phi, std::size_t n, std::size_t lanes,
-                  std::size_t lane_lo, std::size_t lane_hi, double* out) {
-  for (std::size_t l = lane_lo; l < lane_hi; ++l) {
+                  double* out) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     double psi_s = 0.0, s2 = 0.0, phi_i = 0.0, i2 = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
       psi_s += psi[j * lanes + l] * s[j * lanes + l];
@@ -67,10 +63,10 @@ inline void knot4(const double* s, const double* i, const double* psi,
 
 inline void sir_rhs(const double* s, const double* i, const double* lambda,
                     const double* phi, std::size_t n, std::size_t lanes,
-                    std::size_t lane_lo, std::size_t lane_hi, double mean_k,
-                    const double* alpha, const double* e1, const double* e2,
-                    double* ds, double* di, double* theta_out) {
-  for (std::size_t l = lane_lo; l < lane_hi; ++l) {
+                    double mean_k, const double* alpha, const double* e1,
+                    const double* e2, double* ds, double* di,
+                    double* theta_out) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     double th = 0.0;
     for (std::size_t j = 0; j < n; ++j) th += phi[j * lanes + l] * i[j * lanes + l];
     th /= mean_k;
@@ -86,12 +82,11 @@ inline void sir_rhs(const double* s, const double* i, const double* lambda,
 inline void costate_rhs(const double* s, const double* i, const double* psi,
                         const double* phic, const double* lambda,
                         const double* phi_over_k, std::size_t n,
-                        std::size_t lanes, std::size_t lane_lo,
-                        std::size_t lane_hi, const double* c1e1,
+                        std::size_t lanes, const double* c1e1,
                         const double* c2e2, const double* e1, const double* e2,
                         const double* theta, bool diagonal, double* dpsi,
                         double* dphi) {
-  for (std::size_t l = lane_lo; l < lane_hi; ++l) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     double coupling = 0.0;
     if (!diagonal) {
       for (std::size_t j = 0; j < n; ++j) {
@@ -142,16 +137,16 @@ inline void sir_rk4_step(const double* y, std::size_t n, std::size_t lanes,
   double* k4 = scratch + 3 * dim;
   double* tmp = scratch + 4 * dim;
   const std::size_t half = n * lanes;
-  sir_rhs(y, y + half, lambda, phi, n, lanes, 0, lanes, mean_k, alpha, e1, e2,
-          k1, k1 + half, nullptr);
+  sir_rhs(y, y + half, lambda, phi, n, lanes, mean_k, alpha, e1, e2, k1,
+          k1 + half, nullptr);
   scalar::axpy_out(y, k1, 0.5 * h, tmp, 0, dim);
-  sir_rhs(tmp, tmp + half, lambda, phi, n, lanes, 0, lanes, mean_k, alpha,
-          e1 + lanes, e2 + lanes, k2, k2 + half, nullptr);
+  sir_rhs(tmp, tmp + half, lambda, phi, n, lanes, mean_k, alpha, e1 + lanes,
+          e2 + lanes, k2, k2 + half, nullptr);
   scalar::axpy_out(y, k2, 0.5 * h, tmp, 0, dim);
-  sir_rhs(tmp, tmp + half, lambda, phi, n, lanes, 0, lanes, mean_k, alpha,
-          e1 + lanes, e2 + lanes, k3, k3 + half, nullptr);
+  sir_rhs(tmp, tmp + half, lambda, phi, n, lanes, mean_k, alpha, e1 + lanes,
+          e2 + lanes, k3, k3 + half, nullptr);
   scalar::axpy_out(y, k3, h, tmp, 0, dim);
-  sir_rhs(tmp, tmp + half, lambda, phi, n, lanes, 0, lanes, mean_k, alpha,
+  sir_rhs(tmp, tmp + half, lambda, phi, n, lanes, mean_k, alpha,
           e1 + 2 * lanes, e2 + 2 * lanes, k4, k4 + half, nullptr);
   scalar::rk4_combine(y, k1, k2, k3, k4, h / 6.0, y_next, 0, dim);
 }
@@ -175,9 +170,9 @@ inline void costate_rk4_step(const double* w, std::size_t n, std::size_t lanes,
   const auto stage = [&](const double* ws, const double* y, std::size_t s,
                          double* k) {
     costate_stage_coeffs(c1, c2, e1, e2, lanes, s, c1e1, c2e2);
-    costate_rhs(y, y + half, ws, ws + half, lambda, phi_over_k, n, lanes, 0,
-                lanes, c1e1, c2e2, e1 + s * lanes, e2 + s * lanes,
-                theta + s * lanes, diagonal, k, k + half);
+    costate_rhs(y, y + half, ws, ws + half, lambda, phi_over_k, n, lanes,
+                c1e1, c2e2, e1 + s * lanes, e2 + s * lanes, theta + s * lanes,
+                diagonal, k, k + half);
   };
   stage(w, y0, 0, k1);
   scalar::axpy_out(w, k1, 0.5 * h, tmp, 0, dim);

@@ -173,9 +173,11 @@ struct Ops {
 
   // --- batched lane-per-problem kernels ------------------------------
   // `lanes` independent problems interleaved SoA: a[j*lanes + l] is
-  // component j of problem l. SIMD vectorizes across lanes; per lane
-  // every reduction keeps the scalar left-to-right order, so batched
-  // results are bit-identical across ALL backends (policy note above).
+  // component j of problem l. SIMD vectorizes across lanes, at full
+  // width for any lane count (the last partial vector is masked, and
+  // never reads or writes past lane `lanes` − 1); per lane every
+  // reduction keeps the scalar left-to-right order, so batched results
+  // are bit-identical across ALL backends (policy note above).
   // Shared-per-batch values (mean_k, h, the time grid) are plain
   // scalars; per-problem values are length-`lanes` arrays; stage
   // control arrays (e1/e2/theta of the RK4 steps) are stage-major
@@ -268,9 +270,9 @@ inline std::uint64_t draw_threshold(double p) {
 /// The lane count the resolved backend fills one (or two) vector
 /// registers with: 8 on every x86 backend (one zmm of doubles on
 /// AVX-512, two ymm on AVX2, and a cache-friendly unroll for scalar).
-/// Callers may batch at any lane count — SIMD kernels vectorize the
-/// main lanes and delegate the remainder to the scalar bodies — but
-/// multiples of this value keep every vector fully fed.
+/// Callers may batch at any lane count: the SIMD kernels run the last
+/// partial vector masked, so B lanes cost about what the next multiple
+/// of the vector width does, and multiples of this value waste none.
 std::size_t preferred_batch_lanes();
 
 /// True when the backend's code was compiled into this binary (CMake

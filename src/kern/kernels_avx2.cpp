@@ -410,64 +410,100 @@ void census2(const std::uint64_t* words, std::size_t nnodes,
 // Vectorization is across problems: each __m256d holds the same
 // component of 4 adjacent lanes, and the component loop runs
 // sequentially, so every lane accumulates in the scalar left-to-right
-// order — bit-identical to the scalar backend (kern.hpp policy).
-// Remainder lanes (lanes % 4) delegate to the batchref bodies.
+// order — bit-identical to the scalar backend (kern.hpp policy). Any
+// lane count runs at full width: whole vectors use plain loads and
+// stores, and the last partial vector (lanes % 4 problems) runs the
+// same body through vmaskmov loads and stores, which are slow enough on
+// some cores to keep off the whole vectors. Masked-out lanes load as 0
+// (the only division, Θ / ⟨k⟩, cannot trap on them), are never stored,
+// and their bytes are never touched, so no access leaves the caller's
+// arrays.
+
+/// Access to a whole 4-lane vector.
+struct WholeVector {
+  static __m256d load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+};
+
+/// Access to the last, partial vector: only the lanes whose `mask`
+/// element has its sign bit set.
+struct PartialVector {
+  __m256i mask;
+  __m256d load(const double* p) const { return _mm256_maskload_pd(p, mask); }
+  void store(double* p, __m256d v) const {
+    _mm256_maskstore_pd(p, mask, v);
+  }
+};
+
+/// Calls body(access, l) for the vectors of lanes starting at
+/// l = 0, 4, 8, …: whole vectors first, then the partial one.
+/// It and every body are forced inline: out of line, a body reaches its
+/// captures through the closure and, since the unaligned-store
+/// intrinsics may alias anything, reloads each captured pointer after
+/// every store (B = 8 solves ran ~15% slower that way).
+template <typename Body>
+[[gnu::always_inline]] inline void for_each_lane_vector(std::size_t lanes,
+                                                        Body&& body) {
+  std::size_t l = 0;
+  for (; l + kLanes <= lanes; l += kLanes) body(WholeVector{}, l);
+  if (l < lanes) {
+    const __m256i mask = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(lanes - l)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    body(PartialVector{mask}, l);
+  }
+}
 
 void batch_dot(const double* a, const double* b, std::size_t n,
                std::size_t lanes, double* out) {
-  const std::size_t main = lanes - lanes % kLanes;
-  for (std::size_t l = 0; l < main; l += kLanes) {
+  for_each_lane_vector(lanes, [&](const auto& v, std::size_t l)
+                                  __attribute__((always_inline)) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t j = 0; j < n; ++j) {
-      acc = _mm256_add_pd(
-          acc, _mm256_mul_pd(_mm256_loadu_pd(a + j * lanes + l),
-                             _mm256_loadu_pd(b + j * lanes + l)));
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(v.load(a + j * lanes + l),
+                                             v.load(b + j * lanes + l)));
     }
-    _mm256_storeu_pd(out + l, acc);
-  }
-  batchref::dot(a, b, n, lanes, main, lanes, out);
+    v.store(out + l, acc);
+  });
 }
 
 void batch_trapezoid(const double* t, const double* y, std::size_t n,
                      std::size_t lanes, double* out) {
-  const std::size_t main = lanes - lanes % kLanes;
-  for (std::size_t l = 0; l < main; l += kLanes) {
+  for_each_lane_vector(lanes, [&](const auto& v, std::size_t l)
+                                  __attribute__((always_inline)) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t i = 1; i < n; ++i) {
       const double dt = t[i] - t[i - 1];
-      const __m256d ys =
-          _mm256_add_pd(_mm256_loadu_pd(y + i * lanes + l),
-                        _mm256_loadu_pd(y + (i - 1) * lanes + l));
+      const __m256d ys = _mm256_add_pd(v.load(y + i * lanes + l),
+                                       v.load(y + (i - 1) * lanes + l));
       acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(0.5 * dt), ys));
     }
-    _mm256_storeu_pd(out + l, acc);
-  }
-  batchref::trapezoid(t, y, n, lanes, main, lanes, out);
+    v.store(out + l, acc);
+  });
 }
 
 void batch_knot4(const double* s, const double* i, const double* psi,
                  const double* phi, std::size_t n, std::size_t lanes,
                  double* out) {
-  const std::size_t main = lanes - lanes % kLanes;
-  for (std::size_t l = 0; l < main; l += kLanes) {
+  for_each_lane_vector(lanes, [&](const auto& v, std::size_t l)
+                                  __attribute__((always_inline)) {
     __m256d psi_s = _mm256_setzero_pd(), s2 = _mm256_setzero_pd();
     __m256d phi_i = _mm256_setzero_pd(), i2 = _mm256_setzero_pd();
     for (std::size_t j = 0; j < n; ++j) {
-      const __m256d sv = _mm256_loadu_pd(s + j * lanes + l);
-      const __m256d iv = _mm256_loadu_pd(i + j * lanes + l);
-      psi_s = _mm256_add_pd(
-          psi_s, _mm256_mul_pd(_mm256_loadu_pd(psi + j * lanes + l), sv));
+      const __m256d sv = v.load(s + j * lanes + l);
+      const __m256d iv = v.load(i + j * lanes + l);
+      psi_s = _mm256_add_pd(psi_s,
+                            _mm256_mul_pd(v.load(psi + j * lanes + l), sv));
       s2 = _mm256_add_pd(s2, _mm256_mul_pd(sv, sv));
-      phi_i = _mm256_add_pd(
-          phi_i, _mm256_mul_pd(_mm256_loadu_pd(phi + j * lanes + l), iv));
+      phi_i = _mm256_add_pd(phi_i,
+                            _mm256_mul_pd(v.load(phi + j * lanes + l), iv));
       i2 = _mm256_add_pd(i2, _mm256_mul_pd(iv, iv));
     }
-    _mm256_storeu_pd(out + 0 * lanes + l, psi_s);
-    _mm256_storeu_pd(out + 1 * lanes + l, s2);
-    _mm256_storeu_pd(out + 2 * lanes + l, phi_i);
-    _mm256_storeu_pd(out + 3 * lanes + l, i2);
-  }
-  batchref::knot4(s, i, psi, phi, n, lanes, main, lanes, out);
+    v.store(out + 0 * lanes + l, psi_s);
+    v.store(out + 1 * lanes + l, s2);
+    v.store(out + 2 * lanes + l, phi_i);
+    v.store(out + 3 * lanes + l, i2);
+  });
 }
 
 void batch_sir_rhs(const double* s, const double* i, const double* lambda,
@@ -475,34 +511,30 @@ void batch_sir_rhs(const double* s, const double* i, const double* lambda,
                    double mean_k, const double* alpha, const double* e1,
                    const double* e2, double* ds, double* di,
                    double* theta_out) {
-  const std::size_t main = lanes - lanes % kLanes;
   const __m256d mk = _mm256_set1_pd(mean_k);
-  for (std::size_t l = 0; l < main; l += kLanes) {
+  for_each_lane_vector(lanes, [&](const auto& v, std::size_t l)
+                                  __attribute__((always_inline)) {
     __m256d th = _mm256_setzero_pd();
     for (std::size_t j = 0; j < n; ++j) {
-      th = _mm256_add_pd(
-          th, _mm256_mul_pd(_mm256_loadu_pd(phi + j * lanes + l),
-                            _mm256_loadu_pd(i + j * lanes + l)));
+      th = _mm256_add_pd(th, _mm256_mul_pd(v.load(phi + j * lanes + l),
+                                           v.load(i + j * lanes + l)));
     }
     th = _mm256_div_pd(th, mk);
-    const __m256d al = _mm256_loadu_pd(alpha + l);
-    const __m256d e1v = _mm256_loadu_pd(e1 + l);
-    const __m256d e2v = _mm256_loadu_pd(e2 + l);
+    const __m256d al = v.load(alpha + l);
+    const __m256d e1v = v.load(e1 + l);
+    const __m256d e2v = v.load(e2 + l);
     for (std::size_t j = 0; j < n; ++j) {
-      const __m256d sv = _mm256_loadu_pd(s + j * lanes + l);
-      const __m256d iv = _mm256_loadu_pd(i + j * lanes + l);
-      const __m256d infection = _mm256_mul_pd(
-          _mm256_mul_pd(_mm256_loadu_pd(lambda + j * lanes + l), sv), th);
-      _mm256_storeu_pd(ds + j * lanes + l,
-                       _mm256_sub_pd(_mm256_sub_pd(al, infection),
-                                     _mm256_mul_pd(e1v, sv)));
-      _mm256_storeu_pd(di + j * lanes + l,
-                       _mm256_sub_pd(infection, _mm256_mul_pd(e2v, iv)));
+      const __m256d sv = v.load(s + j * lanes + l);
+      const __m256d iv = v.load(i + j * lanes + l);
+      const __m256d infection =
+          _mm256_mul_pd(_mm256_mul_pd(v.load(lambda + j * lanes + l), sv), th);
+      v.store(ds + j * lanes + l, _mm256_sub_pd(_mm256_sub_pd(al, infection),
+                                                _mm256_mul_pd(e1v, sv)));
+      v.store(di + j * lanes + l,
+              _mm256_sub_pd(infection, _mm256_mul_pd(e2v, iv)));
     }
-    if (theta_out != nullptr) _mm256_storeu_pd(theta_out + l, th);
-  }
-  batchref::sir_rhs(s, i, lambda, phi, n, lanes, main, lanes, mean_k, alpha,
-                    e1, e2, ds, di, theta_out);
+    if (theta_out != nullptr) v.store(theta_out + l, th);
+  });
 }
 
 void batch_costate_rhs(const double* s, const double* i, const double* psi,
@@ -512,32 +544,30 @@ void batch_costate_rhs(const double* s, const double* i, const double* psi,
                        const double* c2e2, const double* e1, const double* e2,
                        const double* theta, bool diagonal, double* dpsi,
                        double* dphi) {
-  const std::size_t main = lanes - lanes % kLanes;
-  for (std::size_t l = 0; l < main; l += kLanes) {
+  for_each_lane_vector(lanes, [&](const auto& v, std::size_t l)
+                                  __attribute__((always_inline)) {
     __m256d cpl = _mm256_setzero_pd();
     if (!diagonal) {
       for (std::size_t j = 0; j < n; ++j) {
-        const __m256d diff =
-            _mm256_sub_pd(_mm256_loadu_pd(psi + j * lanes + l),
-                          _mm256_loadu_pd(phic + j * lanes + l));
+        const __m256d diff = _mm256_sub_pd(v.load(psi + j * lanes + l),
+                                           v.load(phic + j * lanes + l));
         cpl = _mm256_add_pd(
-            cpl,
-            _mm256_mul_pd(
-                _mm256_mul_pd(diff, _mm256_loadu_pd(lambda + j * lanes + l)),
-                _mm256_loadu_pd(s + j * lanes + l)));
+            cpl, _mm256_mul_pd(
+                     _mm256_mul_pd(diff, v.load(lambda + j * lanes + l)),
+                     v.load(s + j * lanes + l)));
       }
     }
-    const __m256d thv = _mm256_loadu_pd(theta + l);
-    const __m256d e1v = _mm256_loadu_pd(e1 + l);
-    const __m256d e2v = _mm256_loadu_pd(e2 + l);
-    const __m256d c1v = _mm256_loadu_pd(c1e1 + l);
-    const __m256d c2v = _mm256_loadu_pd(c2e2 + l);
+    const __m256d thv = v.load(theta + l);
+    const __m256d e1v = v.load(e1 + l);
+    const __m256d e2v = v.load(e2 + l);
+    const __m256d c1v = v.load(c1e1 + l);
+    const __m256d c2v = v.load(c2e2 + l);
     for (std::size_t j = 0; j < n; ++j) {
-      const __m256d sv = _mm256_loadu_pd(s + j * lanes + l);
-      const __m256d iv = _mm256_loadu_pd(i + j * lanes + l);
-      const __m256d psiv = _mm256_loadu_pd(psi + j * lanes + l);
-      const __m256d phv = _mm256_loadu_pd(phic + j * lanes + l);
-      const __m256d lv = _mm256_loadu_pd(lambda + j * lanes + l);
+      const __m256d sv = v.load(s + j * lanes + l);
+      const __m256d iv = v.load(i + j * lanes + l);
+      const __m256d psiv = v.load(psi + j * lanes + l);
+      const __m256d phv = v.load(phic + j * lanes + l);
+      const __m256d lv = v.load(lambda + j * lanes + l);
       const __m256d dpsi_dt = _mm256_sub_pd(
           _mm256_add_pd(
               _mm256_mul_pd(c1v, sv),
@@ -551,16 +581,13 @@ void batch_costate_rhs(const double* s, const double* i, const double* psi,
       const __m256d dphi_dt = _mm256_add_pd(
           _mm256_add_pd(
               _mm256_mul_pd(c2v, iv),
-              _mm256_mul_pd(_mm256_loadu_pd(phi_over_k + j * lanes + l),
+              _mm256_mul_pd(v.load(phi_over_k + j * lanes + l),
                             group_coupling)),
           _mm256_mul_pd(phv, e2v));
-      _mm256_storeu_pd(dpsi + j * lanes + l, negate(dpsi_dt));
-      _mm256_storeu_pd(dphi + j * lanes + l, negate(dphi_dt));
+      v.store(dpsi + j * lanes + l, negate(dpsi_dt));
+      v.store(dphi + j * lanes + l, negate(dphi_dt));
     }
-  }
-  batchref::costate_rhs(s, i, psi, phic, lambda, phi_over_k, n, lanes, main,
-                        lanes, c1e1, c2e2, e1, e2, theta, diagonal, dpsi,
-                        dphi);
+  });
 }
 
 /// Batched fused RK4 step: the stage RHS calls are the TU-local batched

@@ -8,19 +8,28 @@
 // the Armijo search at different backtrack depths, or fail outright.
 // Lane independence is checked at its strongest: a batch of B problems
 // must equal B single-lane batches bitwise on EVERY backend, because
-// the batched kernels never mix lanes.
+// the batched kernels never mix lanes. Pinned digests fix the batched
+// results themselves, at lane counts that leave the SIMD backends a
+// partial last vector.
 #include "control/batch_sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "control/fbsweep.hpp"
+#include "core/batch_sim.hpp"
+#include "core/fitting.hpp"
+#include "data/digg.hpp"
 #include "kern/kern.hpp"
+#include "util/math.hpp"
 
 namespace rumor::control {
 namespace {
@@ -184,6 +193,10 @@ TEST(ControlBatch, PgLanesDivergeAndMatchSequential) {
   }
 }
 
+// Under AVX-512 both sides run the SIMD kernels: the 5-lane batch as
+// one masked partial vector, each single lane as a one-lane one (with
+// lanes % width handed to the scalar reference bodies, both sides ran
+// scalar code there).
 TEST(ControlBatch, FbsmLaneIndependentOfBatchWidth) {
   expect_lane_equals_single_lane_batch(SweepAlgorithm::kForwardBackward);
 }
@@ -243,6 +256,164 @@ TEST(ControlBatch, FailedLaneDoesNotPerturbOthers) {
                               single[0].result.epsilon2));
     EXPECT_EQ(batched[p].result.cost.total(), single[0].result.cost.total());
   }
+}
+
+// ---- pinned digests --------------------------------------------------
+//
+// One FNV-1a digest per batched run over the raw bits of its results.
+// Batched results are bit-identical across kernel backends (kern.hpp),
+// so each value holds under RUMOR_KERNEL=scalar|avx2|avx512 alike. The
+// lane counts (5, 6, 7, 9) leave both SIMD widths a partial last
+// vector. The values were generated when the SIMD backends still ran
+// the lanes past their last whole vector through the scalar reference
+// bodies, so they also pin the masked tails to those bodies.
+
+std::uint64_t hash_bits(std::uint64_t h, std::span<const double> values) {
+  for (double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+// Every lane's ε1/ε2 knots, J bits and iteration count.
+std::uint64_t digest(const std::vector<BatchSolveReport>& reports) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& rep : reports) {
+    EXPECT_FALSE(rep.failed) << rep.error;
+    h = hash_bits(h, rep.result.epsilon1);
+    h = hash_bits(h, rep.result.epsilon2);
+    const double scalars[] = {rep.result.cost.total(),
+                              static_cast<double>(rep.result.iterations)};
+    h = hash_bits(h, scalars);
+  }
+  return h;
+}
+
+// rumorctl plan-sweep's problem (Digg surrogate profile, budgets
+// 0.1…0.7 as lanes of one FBSM batch, terminal weight 50, j_tol 1e-6,
+// 5 knots per unit time) at 10 groups and 4 substeps.
+TEST(ControlBatch, PlanSweepFrontierMatchesPinnedDigest) {
+  const auto profile =
+      core::NetworkProfile::from_histogram(data::digg_surrogate_histogram())
+          .coarsened(10);
+  core::ModelParams params;
+  params.alpha = 0.05;
+  params.lambda = core::Acceptance::linear(1.0);
+  params.omega = core::Infectivity::saturating(0.5, 0.5);
+  const core::SirNetworkModel model(profile, params,
+                                    core::make_constant_control(0.0, 0.0));
+  const double tf = 20.0;
+  CostParams cost;
+  cost.c1 = 5.0;
+  cost.c2 = 10.0;
+  cost.terminal_weight = 50.0;
+  SweepOptions options;
+  options.grid_points = 101;
+  options.substeps = 4;
+  options.max_iterations = 800;
+  options.j_tolerance = 1e-6;
+  const std::vector<double> budgets = util::linspace(0.1, 0.7, 7);
+  std::vector<BatchProblem> problems(budgets.size());
+  for (std::size_t b = 0; b < budgets.size(); ++b) {
+    problems[b].params = params;
+    problems[b].cost = cost;
+    problems[b].y0 = model.initial_state(0.2);
+    problems[b].epsilon1_max = budgets[b];
+    problems[b].epsilon2_max = budgets[b];
+  }
+  EXPECT_EQ(digest(solve_optimal_control_batch(profile, problems, tf,
+                                               options)),
+            7877339560726942724ull);
+}
+
+TEST(ControlBatch, PgBatchMatchesPinnedDigest) {
+  SweepOptions options = fast_options();
+  options.algorithm = SweepAlgorithm::kProjectedGradient;
+  EXPECT_EQ(digest(solve_optimal_control_batch(
+                small_profile(), divergent_problems(5), 30.0, options)),
+            14521583477897288931ull);
+}
+
+// Nine lanes run as chunks of 8 + 1, the elasticity table's shape.
+TEST(ControlBatch, SimulationBatchMatchesPinnedDigest) {
+  const auto profile =
+      core::NetworkProfile::from_histogram(data::digg_surrogate_histogram())
+          .coarsened(10);
+  const core::SirNetworkModel reference(profile, small_params(),
+                                        core::make_constant_control(0.0, 0.0));
+  std::vector<core::BatchLaneSpec> specs(9);
+  for (std::size_t l = 0; l < specs.size(); ++l) {
+    const double x = static_cast<double>(l);
+    specs[l].params = small_params();
+    specs[l].params.lambda = core::Acceptance::linear(0.6 + 0.1 * x);
+    specs[l].epsilon1 = 0.02 * x;
+    specs[l].epsilon2 = 0.05 + 0.01 * x;
+    specs[l].y0 = reference.initial_state(0.01 + 0.005 * x);
+  }
+  core::SimulationOptions options;
+  options.t1 = 20.0;
+  options.dt = 0.05;
+  options.record_every = 4;
+  std::uint64_t h = kFnvBasis;
+  for (const auto& result : core::run_simulation_batch(profile, specs,
+                                                       options)) {
+    h = hash_bits(h, result.trajectory.times());
+    for (std::size_t k = 0; k < result.trajectory.size(); ++k) {
+      h = hash_bits(h, result.trajectory.state(k));
+    }
+    h = hash_bits(h, result.theta);
+    h = hash_bits(h, result.infected_density);
+    h = hash_bits(h, result.total_infected);
+  }
+  EXPECT_EQ(h, 17373446930009895484ull);
+}
+
+// The stream estimator's refit screen: six starts, one Nelder–Mead
+// refinement. Only the screen is batched; the refinement runs the
+// per-solve kernels, whose reductions differ by backend, so only the
+// screen's outcome is pinned.
+TEST(ControlBatch, MultistartScreenMatchesPinnedDigest) {
+  const auto profile =
+      core::NetworkProfile::from_histogram(data::digg_surrogate_histogram())
+          .coarsened(10);
+  // Observations from a one-lane batch, so they too are the same on
+  // every backend.
+  core::BatchLaneSpec truth;
+  truth.params = small_params();
+  truth.params.lambda = core::Acceptance::linear(1.3);
+  truth.epsilon1 = 0.1;
+  truth.epsilon2 = 0.05;
+  truth.y0 = core::SirNetworkModel(profile, truth.params,
+                                   core::make_constant_control(0.0, 0.0))
+                 .initial_state(0.01);
+  core::SimulationOptions sim;
+  sim.t1 = 20.0;
+  sim.dt = 0.05;
+  sim.record_every = 20;
+  const auto run = core::run_simulation_batch(
+      profile, std::span<const core::BatchLaneSpec>(&truth, 1), sim);
+  core::CascadeObservations observations;
+  observations.t = run[0].trajectory.times();
+  observations.infected_density = run[0].infected_density;
+
+  core::MultistartSpec spec;
+  spec.starts = 6;
+  spec.refine_top = 1;
+  spec.log_spread = 0.4;
+  spec.seed = 97;
+  spec.fit.max_evaluations = 20;
+  const auto result = core::fit_to_cascade_multistart(
+      profile, small_params(), 0.2, 0.1, observations, spec);
+  EXPECT_EQ(result.screened, 6u);
+  const double screen[] = {result.screening_best_rss};
+  EXPECT_EQ(hash_bits(kFnvBasis, screen), 9073696580938913318ull);
 }
 
 }  // namespace

@@ -9,8 +9,14 @@
 // under SIMD) must match to ULP-scale tolerance; the fused RK4 step
 // kernels must be bitwise equal to the unfused kernel sequence of the
 // SAME backend.
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -501,6 +507,9 @@ TEST(KernDispatch, PublishedTablesAreComplete) {
 //     the SCALAR backend's sequential one-problem kernel on that
 //     lane's data — the property the batched solver's "lane l equals
 //     the sequential solve" guarantee rests on.
+// A third check pins that no kernel reads or writes past the last lane
+// of any array, whatever the lane count (the SIMD backends mask their
+// last partial vector).
 
 // Deterministic interleaved problem set: every per-group array is
 // n×lanes SoA (a[j*lanes+l]), per-lane arrays length lanes, stage
@@ -525,7 +534,9 @@ struct BatchData {
         theta(lanes),
         e1s(3 * lanes),
         e2s(3 * lanes),
-        thetas(3 * lanes) {
+        thetas(3 * lanes),
+        y(2 * n * lanes),
+        w(2 * n * lanes) {
     const auto fill = [&](std::vector<double>& v, double lo, double hi) {
       for (auto& x : v) x = lo + (hi - lo) * rng.uniform();
     };
@@ -550,11 +561,74 @@ struct BatchData {
       c1e1[l] = -2.0 * c1[l] * e1[l] * e1[l];
       c2e2[l] = -2.0 * c2[l] * e2[l] * e2[l];
     }
+    // [S | I] and [ψ | φ] lane-interleaved halves for the fused steps.
+    std::copy(s.begin(), s.end(), y.begin());
+    std::copy(i.begin(), i.end(), y.begin() + n * lanes);
+    std::copy(psi.begin(), psi.end(), w.begin());
+    std::copy(phic.begin(), phic.end(), w.begin() + n * lanes);
   }
   std::vector<double> s, i, psi, phic, lambda, phi, phi_over_k, t;
   std::vector<double> alpha, e1, e2, c1, c2, c1e1, c2e2, theta;
   std::vector<double> e1s, e2s, thetas;  // stage-major 3×lanes
+  std::vector<double> y, w;              // 2n×lanes
 };
+
+// The arrays one run of every batched kernel reads and writes.
+struct BatchIo {
+  const double *s, *i, *psi, *phic, *lambda, *phi, *phi_over_k, *t, *alpha,
+      *e1, *e2, *c1, *c2, *c1e1, *c2e2, *theta, *e1s, *e2s, *thetas, *y, *w;
+  double *dot, *trap, *knot4, *ds, *di, *th, *dpsi, *dphi, *y_next, *w_next,
+      *scratch;
+};
+
+// An input set of `d`: each array is place(vector) — the vector's own
+// storage or a copy of it.
+template <typename Place>
+BatchIo batch_inputs(const BatchData& d, Place&& place) {
+  BatchIo io{};
+  io.s = place(d.s);
+  io.i = place(d.i);
+  io.psi = place(d.psi);
+  io.phic = place(d.phic);
+  io.lambda = place(d.lambda);
+  io.phi = place(d.phi);
+  io.phi_over_k = place(d.phi_over_k);
+  io.t = place(d.t);
+  io.alpha = place(d.alpha);
+  io.e1 = place(d.e1);
+  io.e2 = place(d.e2);
+  io.c1 = place(d.c1);
+  io.c2 = place(d.c2);
+  io.c1e1 = place(d.c1e1);
+  io.c2e2 = place(d.c2e2);
+  io.theta = place(d.theta);
+  io.e1s = place(d.e1s);
+  io.e2s = place(d.e2s);
+  io.thetas = place(d.thetas);
+  io.y = place(d.y);
+  io.w = place(d.w);
+  return io;
+}
+
+// Every batched kernel once under `ops`, over the arrays of `io`.
+void run_batch_kernels(const kern::Ops& ops, const BatchIo& io, std::size_t n,
+                       std::size_t lanes, bool diagonal) {
+  ops.batch_dot(io.s, io.i, n, lanes, io.dot);
+  ops.batch_trapezoid(io.t, io.s, n, lanes, io.trap);
+  ops.batch_knot4(io.s, io.i, io.psi, io.phic, n, lanes, io.knot4);
+  ops.batch_sir_rhs(io.s, io.i, io.lambda, io.phi, n, lanes, 6.5, io.alpha,
+                    io.e1, io.e2, io.ds, io.di, io.th);
+  ops.batch_costate_rhs(io.s, io.i, io.psi, io.phic, io.lambda, io.phi_over_k,
+                        n, lanes, io.c1e1, io.c2e2, io.e1, io.e2, io.theta,
+                        diagonal, io.dpsi, io.dphi);
+  ops.batch_sir_rk4_step(io.y, n, lanes, 6.5, io.alpha, io.e1s, io.e2s,
+                         io.lambda, io.phi, 0.05, io.y_next, io.scratch);
+  // Forward states at the three stage times: reuse y for all three
+  // (the kernel treats them as independent inputs).
+  ops.batch_costate_rk4_step(io.w, n, lanes, io.y, io.y, io.y, io.lambda,
+                             io.phi_over_k, io.thetas, io.e1s, io.e2s, io.c1,
+                             io.c2, 0.05, diagonal, io.w_next, io.scratch);
+}
 
 // Run every batched kernel once under `ops` and collect the outputs.
 struct BatchOut {
@@ -571,34 +645,20 @@ struct BatchOut {
         y_next(2 * n * lanes),
         w_next(2 * n * lanes) {
     std::vector<double> scratch(kern::batch_scratch_doubles(n, lanes));
-    ops.batch_dot(d.s.data(), d.i.data(), n, lanes, dot.data());
-    ops.batch_trapezoid(d.t.data(), d.s.data(), n, lanes, trap.data());
-    ops.batch_knot4(d.s.data(), d.i.data(), d.psi.data(), d.phic.data(), n,
-                    lanes, knot4.data());
-    ops.batch_sir_rhs(d.s.data(), d.i.data(), d.lambda.data(), d.phi.data(),
-                      n, lanes, 6.5, d.alpha.data(), d.e1.data(), d.e2.data(),
-                      ds.data(), di.data(), th.data());
-    ops.batch_costate_rhs(d.s.data(), d.i.data(), d.psi.data(),
-                          d.phic.data(), d.lambda.data(), d.phi_over_k.data(),
-                          n, lanes, d.c1e1.data(), d.c2e2.data(), d.e1.data(),
-                          d.e2.data(), d.theta.data(), diagonal, dpsi.data(),
-                          dphi.data());
-    // [S | I] lane-interleaved halves for the fused steps.
-    std::vector<double> y(2 * n * lanes), w(2 * n * lanes);
-    std::copy(d.s.begin(), d.s.end(), y.begin());
-    std::copy(d.i.begin(), d.i.end(), y.begin() + n * lanes);
-    std::copy(d.psi.begin(), d.psi.end(), w.begin());
-    std::copy(d.phic.begin(), d.phic.end(), w.begin() + n * lanes);
-    ops.batch_sir_rk4_step(y.data(), n, lanes, 6.5, d.alpha.data(),
-                           d.e1s.data(), d.e2s.data(), d.lambda.data(),
-                           d.phi.data(), 0.05, y_next.data(), scratch.data());
-    // Forward states at the three stage times: reuse y for all three
-    // (the kernel treats them as independent inputs).
-    ops.batch_costate_rk4_step(w.data(), n, lanes, y.data(), y.data(),
-                               y.data(), d.lambda.data(), d.phi_over_k.data(),
-                               d.thetas.data(), d.e1s.data(), d.e2s.data(),
-                               d.c1.data(), d.c2.data(), 0.05, diagonal,
-                               w_next.data(), scratch.data());
+    BatchIo io = batch_inputs(
+        d, [](const std::vector<double>& v) { return v.data(); });
+    io.dot = dot.data();
+    io.trap = trap.data();
+    io.knot4 = knot4.data();
+    io.ds = ds.data();
+    io.di = di.data();
+    io.th = th.data();
+    io.dpsi = dpsi.data();
+    io.dphi = dphi.data();
+    io.y_next = y_next.data();
+    io.w_next = w_next.data();
+    io.scratch = scratch.data();
+    run_batch_kernels(ops, io, n, lanes, diagonal);
   }
   std::vector<double> dot, trap, knot4, ds, di, th, dpsi, dphi, y_next,
       w_next;
@@ -611,7 +671,7 @@ TEST(KernBatch, CrossBackendBitIdentical) {
                           std::size_t{10}, std::size_t{17}}) {
       for (std::size_t lanes :
            {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-            std::size_t{8}, std::size_t{11}}) {
+            std::size_t{7}, std::size_t{8}, std::size_t{9}, std::size_t{11}}) {
         for (bool diagonal : {false, true}) {
           util::Xoshiro256 rng(n * 131 + lanes * 7 + (diagonal ? 1 : 0));
           const BatchData d(n, lanes, rng);
@@ -753,6 +813,100 @@ TEST(KernBatch, LaneMatchesSequentialScalarKernels) {
                   << " diagonal=" << diagonal << " backend=" << b;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// `count` doubles whose last one ends exactly where a PROT_NONE page
+// begins, so any access past the array faults (SIGSEGV fails the test
+// binary). A zero-length array points at the guard page itself.
+class GuardedArray {
+ public:
+  explicit GuardedArray(std::size_t count) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = count * sizeof(double);
+    const std::size_t body = (bytes + page - 1) / page * page;
+    mapped_ = body + page;
+    void* base = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<char*>(base);
+    if (mprotect(base_ + body, page, PROT_NONE) != 0) {
+      munmap(base_, mapped_);
+      throw std::runtime_error("mprotect failed");
+    }
+    data_ = reinterpret_cast<double*>(base_ + body - bytes);
+  }
+  ~GuardedArray() { munmap(base_, mapped_); }
+  GuardedArray(const GuardedArray&) = delete;
+  GuardedArray& operator=(const GuardedArray&) = delete;
+
+  double* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t mapped_ = 0;
+  double* data_ = nullptr;
+};
+
+TEST(KernBatch, NoAccessPastTheLastLane) {
+  const auto& scalar = kern::ops(kern::Backend::kScalar);
+  std::vector<const kern::Ops*> backends = {&scalar};
+  for (const kern::Ops* simd : simd_backends()) backends.push_back(simd);
+  for (const kern::Ops* ops : backends) {
+    for (std::size_t lanes = 1; lanes <= 17; ++lanes) {
+      for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+        for (bool diagonal : {false, true}) {
+          util::Xoshiro256 rng(n * 59 + lanes * 3 + (diagonal ? 1 : 0));
+          const BatchData d(n, lanes, rng);
+          const BatchOut want(*ops, d, n, lanes, diagonal);
+
+          std::vector<std::unique_ptr<GuardedArray>> arrays;
+          const auto guarded = [&](std::size_t count) {
+            arrays.push_back(std::make_unique<GuardedArray>(count));
+            return arrays.back()->data();
+          };
+          BatchIo io = batch_inputs(d, [&](const std::vector<double>& v) {
+            double* copy = guarded(v.size());
+            std::copy(v.begin(), v.end(), copy);
+            return static_cast<const double*>(copy);
+          });
+          io.dot = guarded(lanes);
+          io.trap = guarded(lanes);
+          io.knot4 = guarded(4 * lanes);
+          io.ds = guarded(n * lanes);
+          io.di = guarded(n * lanes);
+          io.th = guarded(lanes);
+          io.dpsi = guarded(n * lanes);
+          io.dphi = guarded(n * lanes);
+          io.y_next = guarded(2 * n * lanes);
+          io.w_next = guarded(2 * n * lanes);
+          io.scratch = guarded(kern::batch_scratch_doubles(n, lanes));
+          run_batch_kernels(*ops, io, n, lanes, diagonal);
+
+          // Same results as on ordinary vectors.
+          const auto check = [&](const double* got,
+                                 const std::vector<double>& w,
+                                 const char* what) {
+            for (std::size_t x = 0; x < w.size(); ++x) {
+              ASSERT_EQ(got[x], w[x])
+                  << what << " at flat index " << x << " n=" << n
+                  << " lanes=" << lanes << " diagonal=" << diagonal
+                  << " backend=" << kern::to_string(ops->backend);
+            }
+          };
+          check(io.dot, want.dot, "batch_dot");
+          check(io.trap, want.trap, "batch_trapezoid");
+          check(io.knot4, want.knot4, "batch_knot4");
+          check(io.ds, want.ds, "batch_sir_rhs.ds");
+          check(io.di, want.di, "batch_sir_rhs.di");
+          check(io.th, want.th, "batch_sir_rhs.theta");
+          check(io.dpsi, want.dpsi, "batch_costate_rhs.dpsi");
+          check(io.dphi, want.dphi, "batch_costate_rhs.dphi");
+          check(io.y_next, want.y_next, "batch_sir_rk4_step");
+          check(io.w_next, want.w_next, "batch_costate_rk4_step");
         }
       }
     }
