@@ -7,11 +7,11 @@
 // geometry (tf, grid_points, substeps — the SweepOptions fields that
 // fix the time grid); everything else varies per lane: ModelParams,
 // cost weights, initial state, and optionally the control box and
-// initial guess. Per lane the iteration replicates solve_optimal_control
-// expression for expression, so lane l of a batch reproduces the
-// sequential solve of problem l bit for bit under RUMOR_KERNEL=scalar
-// (and to ULP tolerance under the SIMD backends, whose sequential
-// reductions reassociate where the batched ones do not).
+// initial guess. The iteration is the sweep driver solve_optimal_control
+// runs too (sweep_driver.hpp), over lane-interleaved data, so lane l
+// reproduces the sequential solve of problem l bit for bit under
+// RUMOR_KERNEL=scalar (and to ULP tolerance under the SIMD backends,
+// whose sequential reductions reassociate where the batched ones do not).
 //
 // Divergence between lanes is handled with an active mask: a lane that
 // converges, exhausts its line search, or produces an invalid forward
@@ -20,9 +20,9 @@
 // Retired lanes ride along in the SIMD registers at zero marginal
 // cost; their frozen-control passes are ignored.
 //
-// Differences from the sequential driver, by design:
-//  * checkpoint_path / resume / keep_going are ignored — a batch is a
-//    short-lived compute kernel, not a preemptible service job.
+// Differences from the sequential entry point, by design:
+//  * checkpoint_path / resume / keep_going are ignored — a SWEEPCKP
+//    file holds one problem; a batch is not a preemptible service job.
 //  * An invalid forward pass fails only that lane (failed + error in
 //    its report) instead of throwing out of the whole solve.
 #pragma once

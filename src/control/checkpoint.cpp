@@ -1,13 +1,10 @@
 #include "control/checkpoint.hpp"
 
-#include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "io/artifacts.hpp"
 #include "io/container.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace rumor::control {
 
@@ -26,13 +23,6 @@ std::vector<double> get_doubles(const io::ContainerReader& reader,
   auto values = section.vec<double>();
   section.expect_end();
   return values;
-}
-
-// The fingerprint comparison is bitwise: a resumed sweep must see the
-// exact floating-point configuration it was started with, or the
-// iteration sequence would silently diverge from the uninterrupted run.
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 }  // namespace
@@ -105,44 +95,6 @@ SweepCheckpoint load_sweep_checkpoint(const std::string& path) {
     throw util::IoError("container " + path +
                         ": sweep objective history is shorter than the "
                         "recorded iteration count");
-  }
-  return checkpoint;
-}
-
-bool sweep_checkpoint_matches(const SweepCheckpoint& checkpoint,
-                              SweepAlgorithm algorithm, double tf,
-                              const CostParams& cost,
-                              const std::vector<double>& grid) {
-  if (checkpoint.algorithm != static_cast<std::uint32_t>(algorithm)) {
-    return false;
-  }
-  if (!same_bits(checkpoint.tf, tf) || !same_bits(checkpoint.c1, cost.c1) ||
-      !same_bits(checkpoint.c2, cost.c2) ||
-      !same_bits(checkpoint.terminal_weight, cost.terminal_weight)) {
-    return false;
-  }
-  if (checkpoint.grid.size() != grid.size()) return false;
-  for (std::size_t k = 0; k < grid.size(); ++k) {
-    if (!same_bits(checkpoint.grid[k], grid[k])) return false;
-  }
-  return true;
-}
-
-std::optional<SweepCheckpoint> try_resume_sweep(
-    const SweepOptions& options, SweepAlgorithm algorithm, double tf,
-    const CostParams& cost, const std::vector<double>& grid) {
-  if (options.checkpoint_path.empty() || !options.resume ||
-      !std::filesystem::exists(options.checkpoint_path)) {
-    return std::nullopt;
-  }
-  SweepCheckpoint checkpoint =
-      load_sweep_checkpoint(options.checkpoint_path);
-  if (!sweep_checkpoint_matches(checkpoint, algorithm, tf, cost, grid)) {
-    util::log_warn() << "sweep checkpoint " << options.checkpoint_path
-                     << " was written for a different optimization "
-                        "(algorithm, horizon, cost weights, or grid); "
-                        "starting fresh";
-    return std::nullopt;
   }
   return checkpoint;
 }

@@ -8,13 +8,12 @@
 // drives the plateau/limit-cycle tests), the adaptive relaxation, and
 // the latest state/costate trajectories. Restoring it reproduces the
 // uninterrupted iteration sequence bit-for-bit, because the sweep
-// itself is deterministic. A checkpoint whose configuration does not
-// match is reported as non-matching so the caller can start fresh
-// (this is what lets solve_with_terminal_target's weight escalations
-// share one checkpoint path); a corrupted file throws util::IoError.
+// itself is deterministic. The sweep driver (sweep_driver.cpp) starts
+// fresh from a file whose configuration does not match (this is what
+// lets solve_with_terminal_target's weight escalations share one
+// checkpoint path); a corrupted file throws util::IoError.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,21 +52,5 @@ struct SweepCheckpoint {
 void save_sweep_checkpoint(const SweepCheckpoint& checkpoint,
                            const std::string& path);
 SweepCheckpoint load_sweep_checkpoint(const std::string& path);
-
-/// True when `checkpoint` was written for exactly this optimization:
-/// same algorithm, horizon, cost weights, and control grid.
-bool sweep_checkpoint_matches(const SweepCheckpoint& checkpoint,
-                              SweepAlgorithm algorithm, double tf,
-                              const CostParams& cost,
-                              const std::vector<double>& grid);
-
-/// Load-and-validate helper used by the solvers: returns the checkpoint
-/// when `options` enables resume, the file exists, and it matches;
-/// logs a warning and returns nullopt on a configuration mismatch.
-std::optional<SweepCheckpoint> try_resume_sweep(const SweepOptions& options,
-                                                SweepAlgorithm algorithm,
-                                                double tf,
-                                                const CostParams& cost,
-                                                const std::vector<double>& grid);
 
 }  // namespace rumor::control

@@ -130,25 +130,6 @@ ode::State BackwardCostateSystem::terminal_costate() const {
   return w;
 }
 
-KnotProducts knot_products(std::span<const double> y,
-                           std::span<const double> w,
-                           std::size_t num_groups) {
-  const auto S = y.subspan(0, num_groups);
-  const auto I = y.subspan(num_groups, num_groups);
-  const auto psi = w.subspan(0, num_groups);
-  const auto phi = w.subspan(num_groups, num_groups);
-
-  double out[4];
-  kern::ops().knot4(S.data(), I.data(), psi.data(), phi.data(), num_groups,
-                    out);
-  KnotProducts products;
-  products.psi_s = out[0];
-  products.s2 = out[1];
-  products.phi_i = out[2];
-  products.i2 = out[3];
-  return products;
-}
-
 StationaryControls stationary_controls(const KnotProducts& products,
                                        const CostParams& cost) {
   StationaryControls out;
@@ -165,7 +146,10 @@ StationaryControls stationary_controls(std::span<const double> y,
                                        std::span<const double> w,
                                        std::size_t num_groups,
                                        const CostParams& cost) {
-  return stationary_controls(knot_products(y, w, num_groups), cost);
+  double p[4];
+  kern::ops().knot4(y.data(), y.data() + num_groups, w.data(),
+                    w.data() + num_groups, num_groups, p);
+  return stationary_controls(KnotProducts{p[0], p[1], p[2], p[3]}, cost);
 }
 
 }  // namespace rumor::control

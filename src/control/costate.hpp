@@ -105,9 +105,6 @@ struct KnotProducts {
   double phi_i = 0.0;
   double i2 = 0.0;
 };
-KnotProducts knot_products(std::span<const double> y,
-                           std::span<const double> w,
-                           std::size_t num_groups);
 
 /// Interior stationary controls from the costate (paper Eq. (18)):
 ///   ε1 = Σ ψ_i S_i / (2 c1 Σ S_i²),  ε2 = Σ φ_i I_i / (2 c2 Σ I_i²),

@@ -1,16 +1,11 @@
 #include "control/fbsweep.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <optional>
+#include <memory>
 #include <utility>
 
-#include "control/checkpoint.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "control/sweep_driver.hpp"
 #include "ode/integrate.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/parallel.hpp"
 
@@ -18,55 +13,10 @@ namespace rumor::control {
 
 namespace {
 
-// Registry handles, resolved once (registration locks; recording never
-// does).
-struct ControlMetrics {
-  obs::Counter& fbsm_iterations;
-  obs::Counter& pg_iterations;
-  obs::Counter& pg_accepts;
-  obs::Counter& pg_backtracks;
-  obs::Gauge& update_norm;
-};
-
-ControlMetrics& control_metrics() {
-  static ControlMetrics* const m = [] {
-    obs::Registry& r = obs::metrics();
-    return new ControlMetrics{r.counter("fbsm.iterations"),
-                              r.counter("pg.iterations"),
-                              r.counter("pg.accepts"),
-                              r.counter("pg.backtracks"),
-                              r.gauge("control.update_norm")};
-  }();
-  return *m;
-}
-
-// The forward integration is explicit; on stiff profiles an oversized
-// step produces finite-but-meaningless states (e.g. negative infected
-// densities), which would silently corrupt the optimization. Reject
-// such passes loudly.
-void check_forward_pass(const ode::Trajectory& state, std::size_t n) {
-  const auto y = state.back_state();
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    if (!std::isfinite(y[i]) || (i >= n && y[i] < -1e-6)) {
-      throw util::InternalError(
-          "solve_optimal_control: forward pass produced an invalid state "
-          "(non-finite or negative infected density) — the explicit "
-          "integrator is unstable at this step size; increase substeps "
-          "or grid_points");
-    }
-  }
-}
-
-std::shared_ptr<core::PiecewiseLinearControl> make_schedule(
-    const std::vector<double>& grid, const std::vector<double>& e1,
-    const std::vector<double>& e2) {
-  return std::make_shared<core::PiecewiseLinearControl>(grid, e1, e2);
-}
-
 // Forward-time view of the backward costate solution: sample k of the
 // backward run is at s_k = tf − t, so reverse it into a Trajectory
 // indexed by t for reporting and interpolation. Writes into `forward`
-// (reset, capacity kept) so the sweep loop reuses one buffer.
+// (reset, capacity kept) so the sweep reuses one buffer.
 void reverse_costate_into(const ode::Trajectory& backward, double tf,
                           ode::Trajectory& forward) {
   forward.reset(backward.dimension());
@@ -78,248 +28,110 @@ void reverse_costate_into(const ode::Trajectory& backward, double tf,
   }
 }
 
-// Buffers reused across sweep iterations so the hot loop performs no
-// trajectory or control-grid reallocation after the first pass.
-struct SweepWorkspace {
-  ode::Trajectory state;     ///< forward pass
-  ode::Trajectory backward;  ///< costate in the reversed clock
-  ode::Trajectory costate;   ///< costate re-based to forward time
-  ode::Trajectory trial;     ///< line-search candidate forward pass
-  std::vector<KnotProducts> products;  ///< per-knot contractions
-  std::vector<double> integrand;       ///< evaluate_cost scratch
-  std::vector<double> t1, t2;          ///< line-search candidate controls
-  std::vector<double> g1, g2;          ///< control gradient at the knots
+// One problem, stored contiguously, so the per-solve fused kernels run
+// SIMD over the groups. Every trajectory is reused across passes: after
+// the first pass the sweep reallocates none of them.
+class ContiguousLayout final : public SweepLayout {
+ public:
+  ContiguousLayout(const core::SirNetworkModel& model, const ode::State& y0,
+                   double tf, const CostParams& cost,
+                   const SweepOptions& options,
+                   const std::vector<double>& grid)
+      // The sweep sets its own schedule on a copy of the model, so the
+      // caller's model is untouched.
+      : work_(model.profile(), model.params(),
+              core::make_constant_control(0.0, 0.0)),
+        y0_(y0),
+        tf_(tf),
+        cost_(cost),
+        grid_(grid),
+        diagonal_(options.diagonal_costate) {
+    fixed_.dt = (grid[1] - grid[0]) / static_cast<double>(options.substeps);
+    fixed_.record_every = options.substeps;  // samples land on the knots
+  }
+
+  void forward(const double* e1, const double* e2, Pass pass,
+               double* running, double* terminal) override {
+    ode::Trajectory& into = pass == Pass::kState ? state_ : trial_;
+    const auto schedule = schedule_of(e1, e2);
+    work_.set_control(schedule);
+    ode::integrate_fixed_into(work_, stepper_, y0_, 0.0, tf_, fixed_, into);
+    const CostBreakdown cost =
+        evaluate_cost(work_, into, *schedule, cost_, integrand_);
+    *running = cost.running;
+    *terminal = cost.terminal;
+  }
+
+  std::size_t num_groups() const override { return work_.num_groups(); }
+
+  const double* last_sample(Pass pass) const override {
+    return (pass == Pass::kState ? state_ : trial_).back_state().data();
+  }
+
+  void backward(const double* e1, const double* e2) override {
+    const auto schedule = schedule_of(e1, e2);
+    BackwardCostateSystem adjoint(work_, state_, *schedule, cost_, tf_,
+                                  diagonal_);
+    ode::integrate_fixed_into(adjoint, stepper_, adjoint.terminal_costate(),
+                              0.0, tf_, fixed_, backward_);
+    reverse_costate_into(backward_, tf_, costate_);
+  }
+
+  // Cursor interpolation (the knots are visited in increasing time
+  // order), parallel over knots when the problem is big enough to
+  // amortize the pool dispatch; per-knot results are independent, so the
+  // outcome is identical at any thread count.
+  void knot_products(double* out) override {
+    const std::size_t m = grid_.size();
+    const std::size_t n = work_.num_groups();
+    // Below this many flops the pool dispatch costs more than the loop.
+    const std::size_t grain = (m * n >= 4096) ? 32 : m;
+    const kern::Ops& ops = kern::ops();
+    util::parallel_for_chunks(
+        0, m, grain, [&](std::size_t, std::size_t lo, std::size_t hi) {
+          ode::Trajectory::Cursor state_cursor(state_);
+          ode::Trajectory::Cursor costate_cursor(costate_);
+          ode::State y(2 * n), w(2 * n);
+          for (std::size_t k = lo; k < hi; ++k) {
+            state_cursor.at_into(grid_[k], y);
+            costate_cursor.at_into(grid_[k], w);
+            ops.knot4(y.data(), y.data() + n, w.data(), w.data() + n, n,
+                      out + 4 * k);
+          }
+        });
+  }
+
+  void swap_trial() override { std::swap(state_, trial_); }
+
+  void extract(std::size_t, ode::Trajectory& state,
+               ode::Trajectory& costate) const override {
+    state = state_;
+    costate = costate_;
+  }
+
+ private:
+  std::shared_ptr<const core::PiecewiseLinearControl> schedule_of(
+      const double* e1, const double* e2) const {
+    const std::size_t m = grid_.size();
+    return std::make_shared<core::PiecewiseLinearControl>(
+        grid_, std::vector<double>(e1, e1 + m),
+        std::vector<double>(e2, e2 + m));
+  }
+
+  core::SirNetworkModel work_;
+  const ode::State& y0_;
+  double tf_;
+  CostParams cost_;
+  const std::vector<double>& grid_;
+  bool diagonal_;
+  ode::Rk4Stepper stepper_;
+  ode::FixedStepOptions fixed_;
+  ode::Trajectory state_;     ///< forward pass
+  ode::Trajectory trial_;     ///< line-search candidate forward pass
+  ode::Trajectory backward_;  ///< costate in the reversed clock
+  ode::Trajectory costate_;   ///< costate re-based to forward time
+  std::vector<double> integrand_;  ///< evaluate_cost scratch
 };
-
-// The state/costate contractions at every grid knot — the loop both
-// optimizers' control updates are built from. Cursor interpolation
-// (the knots are visited in increasing time order) and parallel over
-// knots when the problem is big enough to amortize the pool dispatch;
-// per-knot results are independent, so the outcome is identical at any
-// thread count.
-void knot_products_on_grid(const std::vector<double>& grid,
-                           const ode::Trajectory& state,
-                           const ode::Trajectory& costate, std::size_t n,
-                           std::vector<KnotProducts>& products) {
-  const std::size_t m = grid.size();
-  products.resize(m);
-  // Below this many flops the pool dispatch costs more than the loop.
-  const std::size_t grain = (m * n >= 4096) ? 32 : m;
-  util::parallel_for_chunks(
-      0, m, grain, [&](std::size_t, std::size_t lo, std::size_t hi) {
-        ode::Trajectory::Cursor state_cursor(state);
-        ode::Trajectory::Cursor costate_cursor(costate);
-        ode::State y(2 * n), w(2 * n);
-        for (std::size_t k = lo; k < hi; ++k) {
-          state_cursor.at_into(grid[k], y);
-          costate_cursor.at_into(grid[k], w);
-          products[k] = knot_products(y, w, n);
-        }
-      });
-}
-
-// Monotone alternative to the FBSM fixed point: projected gradient with
-// Armijo backtracking. ∇J(ε1)(t) = ∂H/∂ε1 = 2 c1 ε1 ΣS² − Σψ_i S_i and
-// symmetrically for ε2 (evaluated at the grid knots).
-SweepResult solve_projected_gradient(const core::SirNetworkModel& model,
-                                     const ode::State& y0, double tf,
-                                     const CostParams& cost,
-                                     const SweepOptions& options) {
-  const std::size_t m = options.grid_points;
-  const std::vector<double> grid = util::linspace(0.0, tf, m);
-  const double dt = grid[1] - grid[0];
-  const std::size_t n = model.num_groups();
-
-  core::SirNetworkModel work(model.profile(), model.params(),
-                             make_schedule(grid, std::vector<double>(m, 0.0),
-                                           std::vector<double>(m, 0.0)));
-  ode::Rk4Stepper stepper;
-  ode::FixedStepOptions fixed;
-  fixed.dt = dt / static_cast<double>(options.substeps);
-  fixed.record_every = options.substeps;
-
-  std::vector<double> e1(m, util::clamp(options.initial_guess, 0.0,
-                                        options.epsilon1_max));
-  std::vector<double> e2(m, util::clamp(options.initial_guess, 0.0,
-                                        options.epsilon2_max));
-
-  SweepWorkspace ws;
-  ws.g1.resize(m);
-  ws.g2.resize(m);
-  ws.t1.resize(m);
-  ws.t2.resize(m);
-
-  auto forward = [&](const std::vector<double>& c1v,
-                     const std::vector<double>& c2v, ode::Trajectory& into) {
-    auto schedule = make_schedule(grid, c1v, c2v);
-    work.set_control(schedule);
-    ode::integrate_fixed_into(work, stepper, y0, 0.0, tf, fixed, into);
-    check_forward_pass(into, n);
-    return evaluate_cost(work, into, *schedule, cost, ws.integrand).total();
-  };
-
-  SweepResult result;
-  result.grid = grid;
-
-  // Warm restart: the gradient iteration is a deterministic function of
-  // (ε1, ε2, step, objective history), so restoring those four and
-  // recomputing the forward pass continues the uninterrupted iterate
-  // sequence exactly.
-  std::size_t first_iter = 1;
-  double step = options.gradient_initial_step;
-  if (std::optional<SweepCheckpoint> resumed = try_resume_sweep(
-          options, SweepAlgorithm::kProjectedGradient, tf, cost, grid)) {
-    e1 = std::move(resumed->epsilon1);
-    e2 = std::move(resumed->epsilon2);
-    step = resumed->gradient_step;
-    result.objective_history = std::move(resumed->objective_history);
-    first_iter = static_cast<std::size_t>(resumed->iteration) + 1;
-    result.iterations = static_cast<std::size_t>(resumed->iteration);
-  }
-
-  double objective = forward(e1, e2, ws.state);
-
-  // Snapshot of the iteration state after `completed` iterations; the
-  // same fields whether written on the periodic cadence or on a
-  // cooperative yield, so a resumed run cannot tell the two apart.
-  const auto save_checkpoint = [&](std::size_t completed) {
-    SweepCheckpoint cp;
-    cp.algorithm =
-        static_cast<std::uint32_t>(SweepAlgorithm::kProjectedGradient);
-    cp.tf = tf;
-    cp.c1 = cost.c1;
-    cp.c2 = cost.c2;
-    cp.terminal_weight = cost.terminal_weight;
-    cp.grid = grid;
-    cp.iteration = completed;
-    cp.gradient_step = step;
-    cp.best_j = objective;  // the PG sequence is monotone
-    cp.epsilon1 = e1;
-    cp.epsilon2 = e2;
-    cp.best_epsilon1 = e1;
-    cp.best_epsilon2 = e2;
-    cp.objective_history = result.objective_history;
-    cp.state = ws.state;
-    cp.costate = ws.costate;
-    save_sweep_checkpoint(cp, options.checkpoint_path);
-  };
-
-  for (std::size_t iter = first_iter; iter <= options.max_iterations;
-       ++iter) {
-    if (options.keep_going && !options.keep_going()) {
-      // At the top of iteration `iter` every variable holds its
-      // end-of-(iter-1) value, so this is exactly the checkpoint a
-      // periodic save at the end of iter-1 would have written. Skip it
-      // when no new iteration completed: a resumed run's file already
-      // covers this state, and a fresh run has no costate yet.
-      if (!options.checkpoint_path.empty() && iter > first_iter) {
-        save_checkpoint(iter - 1);
-      }
-      result.interrupted = true;
-      break;
-    }
-    const obs::TraceSpan iter_span("pg.iteration");
-    control_metrics().pg_iterations.add();
-    result.iterations = iter;
-    result.objective_history.push_back(objective);
-
-    auto schedule = make_schedule(grid, e1, e2);
-    BackwardCostateSystem adjoint(work, ws.state, *schedule, cost, tf,
-                                  options.diagonal_costate);
-    ode::integrate_fixed_into(adjoint, stepper, adjoint.terminal_costate(),
-                              0.0, tf, fixed, ws.backward);
-    reverse_costate_into(ws.backward, tf, ws.costate);
-
-    // Gradient at the knots, from the shared contractions.
-    knot_products_on_grid(grid, ws.state, ws.costate, n, ws.products);
-    double stationarity = 0.0;
-    for (std::size_t k = 0; k < m; ++k) {
-      const KnotProducts& p = ws.products[k];
-      ws.g1[k] = 2.0 * cost.c1 * e1[k] * p.s2 - p.psi_s;
-      ws.g2[k] = 2.0 * cost.c2 * e2[k] * p.i2 - p.phi_i;
-      stationarity = std::max(
-          stationarity,
-          std::abs(e1[k] - util::clamp(e1[k] - ws.g1[k], 0.0,
-                                       options.epsilon1_max)));
-      stationarity = std::max(
-          stationarity,
-          std::abs(e2[k] - util::clamp(e2[k] - ws.g2[k], 0.0,
-                                       options.epsilon2_max)));
-    }
-    result.final_update = stationarity;
-    control_metrics().update_norm.set(stationarity);
-    if (stationarity < options.gradient_tolerance) {
-      result.converged = true;
-      break;
-    }
-    // Diminishing returns on the monotone J sequence.
-    const auto& history = result.objective_history;
-    if (history.size() >= options.j_window) {
-      const double early = history[history.size() - options.j_window];
-      const double late = history.back();
-      if (early - late <=
-          options.j_tolerance * std::max(std::abs(late), 1.0)) {
-        result.converged = true;
-        break;
-      }
-    }
-
-    // Armijo backtracking on the projected step.
-    bool accepted = false;
-    for (std::size_t bt = 0; bt <= options.gradient_max_backtracks; ++bt) {
-      double decrease_model = 0.0;
-      for (std::size_t k = 0; k < m; ++k) {
-        ws.t1[k] =
-            util::clamp(e1[k] - step * ws.g1[k], 0.0, options.epsilon1_max);
-        ws.t2[k] =
-            util::clamp(e2[k] - step * ws.g2[k], 0.0, options.epsilon2_max);
-        decrease_model += ws.g1[k] * (e1[k] - ws.t1[k]) +
-                          ws.g2[k] * (e2[k] - ws.t2[k]);
-      }
-      const double trial_j = forward(ws.t1, ws.t2, ws.trial);
-      if (trial_j <= objective - options.gradient_armijo * decrease_model) {
-        e1.swap(ws.t1);
-        e2.swap(ws.t2);
-        std::swap(ws.state, ws.trial);
-        objective = trial_j;
-        step *= 2.0;  // optimistic growth for the next iteration
-        accepted = true;
-        control_metrics().pg_accepts.add();
-        break;
-      }
-      step *= 0.5;
-      control_metrics().pg_backtracks.add();
-    }
-    if (!accepted) {
-      // Line search exhausted: numerically stationary.
-      result.converged = true;
-      break;
-    }
-
-    if (!options.checkpoint_path.empty() &&
-        (iter % options.checkpoint_every == 0 ||
-         iter == options.max_iterations)) {
-      save_checkpoint(iter);
-    }
-  }
-  if (result.interrupted) {
-    util::log_info() << "solve_projected_gradient: yielded after "
-                     << result.iterations << " iterations";
-  } else if (!result.converged) {
-    util::log_warn() << "solve_projected_gradient: no convergence after "
-                     << result.iterations << " iterations (stationarity "
-                     << result.final_update << ")";
-  }
-
-  result.epsilon1 = e1;
-  result.epsilon2 = e2;
-  result.control = make_schedule(grid, e1, e2);
-  work.set_control(result.control);
-  result.state = ode::integrate_fixed(work, stepper, y0, 0.0, tf, fixed);
-  result.costate = std::move(ws.costate);
-  result.cost = evaluate_cost(work, result.state, *result.control, cost);
-  return result;
-}
 
 }  // namespace
 
@@ -328,13 +140,7 @@ SweepResult solve_optimal_control(const core::SirNetworkModel& model,
                                   const CostParams& cost,
                                   const SweepOptions& options) {
   cost.validate();
-  util::require(tf > 0.0, "solve_optimal_control: tf must be positive");
-  util::require(options.grid_points >= 3,
-                "solve_optimal_control: need at least 3 grid points");
-  util::require(options.relaxation >= 0.0 && options.relaxation < 1.0,
-                "solve_optimal_control: relaxation must be in [0, 1)");
-  util::require(options.substeps >= 1,
-                "solve_optimal_control: substeps must be >= 1");
+  validate_sweep(options, tf, "solve_optimal_control");
   util::require(options.checkpoint_every >= 1,
                 "solve_optimal_control: checkpoint_every must be >= 1");
   util::require(options.epsilon1_max > 0.0 && options.epsilon2_max > 0.0,
@@ -342,225 +148,16 @@ SweepResult solve_optimal_control(const core::SirNetworkModel& model,
   util::require(y0.size() == model.dimension(),
                 "solve_optimal_control: initial state dimension mismatch");
 
-  if (options.algorithm == SweepAlgorithm::kProjectedGradient) {
-    return solve_projected_gradient(model, y0, tf, cost, options);
-  }
-
-  const std::size_t m = options.grid_points;
-  const std::vector<double> grid = util::linspace(0.0, tf, m);
-  const double dt = grid[1] - grid[0];
-  const std::size_t n = model.num_groups();
-
-  std::vector<double> e1(m, util::clamp(options.initial_guess, 0.0,
-                                        options.epsilon1_max));
-  std::vector<double> e2(m, util::clamp(options.initial_guess, 0.0,
-                                        options.epsilon2_max));
-
-  // The sweep mutates the model's schedule; work on a copy so the
-  // caller's model is untouched.
-  core::SirNetworkModel work(model.profile(), model.params(),
-                             make_schedule(grid, e1, e2));
-
-  SweepResult result;
-  result.grid = grid;
-
-  ode::Rk4Stepper stepper;
-  ode::FixedStepOptions fixed;
-  fixed.dt = dt / static_cast<double>(options.substeps);
-  fixed.record_every = options.substeps;  // samples land on the knots
-
-  SweepWorkspace ws;
-
-  // FBSM is a fixed-point iteration, not a descent method; keep the best
-  // iterate seen so a late limit cycle cannot degrade the answer.
-  std::vector<double> best_e1 = e1, best_e2 = e2;
-  double best_j = std::numeric_limits<double>::infinity();
-  // Adaptive damping: when the iteration falls into a limit cycle
-  // (detected through an exactly repeating objective), raise the
-  // relaxation toward 1 — heavier damping turns a repelling fixed point
-  // attracting (standard FBSM stabilization).
-  double relaxation = options.relaxation;
-  std::size_t descent_streak = 0;
-
-  // Warm restart: one FBSM step is a deterministic map of (ε1, ε2,
-  // relaxation, descent_streak, objective history), so restoring that
-  // state continues the uninterrupted iterate sequence exactly —
-  // including the adaptive-damping and best-iterate bookkeeping.
-  std::size_t first_iter = 1;
-  if (std::optional<SweepCheckpoint> resumed = try_resume_sweep(
-          options, SweepAlgorithm::kForwardBackward, tf, cost, grid)) {
-    e1 = std::move(resumed->epsilon1);
-    e2 = std::move(resumed->epsilon2);
-    best_e1 = std::move(resumed->best_epsilon1);
-    best_e2 = std::move(resumed->best_epsilon2);
-    best_j = resumed->best_j;
-    relaxation = resumed->relaxation;
-    descent_streak = static_cast<std::size_t>(resumed->descent_streak);
-    result.objective_history = std::move(resumed->objective_history);
-    first_iter = static_cast<std::size_t>(resumed->iteration) + 1;
-    result.iterations = static_cast<std::size_t>(resumed->iteration);
-  }
-
-  // Snapshot of the iteration state after `completed` iterations; the
-  // same fields whether written on the periodic cadence or on a
-  // cooperative yield, so a resumed run cannot tell the two apart.
-  const auto save_checkpoint = [&](std::size_t completed) {
-    SweepCheckpoint cp;
-    cp.algorithm =
-        static_cast<std::uint32_t>(SweepAlgorithm::kForwardBackward);
-    cp.tf = tf;
-    cp.c1 = cost.c1;
-    cp.c2 = cost.c2;
-    cp.terminal_weight = cost.terminal_weight;
-    cp.grid = grid;
-    cp.iteration = completed;
-    cp.relaxation = relaxation;
-    cp.descent_streak = descent_streak;
-    cp.best_j = best_j;
-    cp.epsilon1 = e1;
-    cp.epsilon2 = e2;
-    cp.best_epsilon1 = best_e1;
-    cp.best_epsilon2 = best_e2;
-    cp.objective_history = result.objective_history;
-    cp.state = ws.state;
-    cp.costate = ws.costate;
-    save_sweep_checkpoint(cp, options.checkpoint_path);
-  };
-
-  for (std::size_t iter = first_iter; iter <= options.max_iterations;
-       ++iter) {
-    if (options.keep_going && !options.keep_going()) {
-      // At the top of iteration `iter` every variable holds its
-      // end-of-(iter-1) value, so this is exactly the checkpoint a
-      // periodic save at the end of iter-1 would have written. Skip it
-      // when no new iteration completed: a resumed run's file already
-      // covers this state, and a fresh run has no trajectories yet.
-      if (!options.checkpoint_path.empty() && iter > first_iter) {
-        save_checkpoint(iter - 1);
-      }
-      result.interrupted = true;
-      break;
-    }
-    const obs::TraceSpan iter_span("fbsm.iteration");
-    control_metrics().fbsm_iterations.add();
-    result.iterations = iter;
-
-    // (2) forward state pass under the current controls.
-    auto schedule = make_schedule(grid, e1, e2);
-    work.set_control(schedule);
-    ode::integrate_fixed_into(work, stepper, y0, 0.0, tf, fixed, ws.state);
-    check_forward_pass(ws.state, n);
-
-    // (3) backward costate pass.
-    BackwardCostateSystem adjoint(work, ws.state, *schedule, cost, tf,
-                                  options.diagonal_costate);
-    ode::integrate_fixed_into(adjoint, stepper, adjoint.terminal_costate(),
-                              0.0, tf, fixed, ws.backward);
-    reverse_costate_into(ws.backward, tf, ws.costate);
-
-    const double objective =
-        evaluate_cost(work, ws.state, *schedule, cost, ws.integrand).total();
-    result.objective_history.push_back(objective);
-    if (objective < best_j) {
-      best_j = objective;
-      best_e1 = e1;
-      best_e2 = e2;
-    }
-
-    // Stabilization: a fixed-point step that *raised* J signals the
-    // iteration is orbiting rather than contracting — damp harder. The
-    // damping only ever increases, so the map eventually contracts and
-    // the sup-norm test below fires.
-    const auto& hist = result.objective_history;
-    if (hist.size() >= 2 && hist.back() > hist[hist.size() - 2]) {
-      relaxation = 0.5 * (1.0 + relaxation);
-      descent_streak = 0;
-    } else if (++descent_streak >= 10 && relaxation > options.relaxation) {
-      // Sustained descent: cautiously undo some damping so the iteration
-      // does not freeze at a heavily-damped crawl.
-      relaxation = std::max(options.relaxation,
-                            1.0 - 1.5 * (1.0 - relaxation));
-      descent_streak = 0;
-    }
-
-    // (4) stationary controls, projected and relaxed. The costly part —
-    // interpolating state and costate onto the knots — runs in
-    // parallel; the cheap clamp/relax recurrence stays serial.
-    knot_products_on_grid(grid, ws.state, ws.costate, n, ws.products);
-    double update = 0.0;
-    for (std::size_t k = 0; k < m; ++k) {
-      const StationaryControls stat =
-          stationary_controls(ws.products[k], cost);
-      if (!std::isfinite(stat.epsilon1) || !std::isfinite(stat.epsilon2)) {
-        throw util::InternalError(
-            "solve_optimal_control: non-finite stationary control — the "
-            "forward or backward pass diverged; increase substeps or "
-            "grid_points");
-      }
-      const double new_e1 = util::clamp(stat.epsilon1, 0.0,
-                                        options.epsilon1_max);
-      const double new_e2 = util::clamp(stat.epsilon2, 0.0,
-                                        options.epsilon2_max);
-      const double relaxed_e1 =
-          relaxation * e1[k] + (1.0 - relaxation) * new_e1;
-      const double relaxed_e2 =
-          relaxation * e2[k] + (1.0 - relaxation) * new_e2;
-      update = std::max(update, std::abs(relaxed_e1 - e1[k]));
-      update = std::max(update, std::abs(relaxed_e2 - e2[k]));
-      e1[k] = relaxed_e1;
-      e2[k] = relaxed_e2;
-    }
-    result.final_update = update;
-    control_metrics().update_norm.set(update);
-
-    // Primary test: the controls stopped moving. Secondary test: J has
-    // plateaued (its range over the last j_window iterations is tiny) —
-    // this covers the one-knot bang-bang dither that keeps the sup-norm
-    // test alive forever without changing the objective.
-    bool j_settled = false;
-    const auto& history = result.objective_history;
-    if (history.size() >= options.j_window) {
-      double j_lo = history.back(), j_hi = history.back();
-      for (std::size_t w = 0; w < options.j_window; ++w) {
-        const double j = history[history.size() - 1 - w];
-        j_lo = std::min(j_lo, j);
-        j_hi = std::max(j_hi, j);
-      }
-      j_settled = (j_hi - j_lo) <=
-                  options.j_tolerance * std::max(std::abs(j_hi), 1.0);
-    }
-    if (update < options.tolerance || j_settled) {
-      result.converged = true;
-      break;
-    }
-
-    if (!options.checkpoint_path.empty() &&
-        (iter % options.checkpoint_every == 0 ||
-         iter == options.max_iterations)) {
-      save_checkpoint(iter);
-    }
-    if (iter == options.max_iterations) {
-      util::log_warn() << "solve_optimal_control: no convergence after "
-                       << iter << " iterations (last update " << update
-                       << ", best J " << best_j << ")";
-    }
-  }
-
-  // Final forward/backward pass under the best controls seen so the
-  // reported state/costate/cost correspond exactly to the returned
-  // schedule.
-  result.epsilon1 = std::move(best_e1);
-  result.epsilon2 = std::move(best_e2);
-  result.control = make_schedule(grid, result.epsilon1, result.epsilon2);
-  work.set_control(result.control);
-  result.state = ode::integrate_fixed(work, stepper, y0, 0.0, tf, fixed);
-  BackwardCostateSystem adjoint(work, result.state, *result.control, cost, tf,
-                                options.diagonal_costate);
-  ode::integrate_fixed_into(adjoint, stepper, adjoint.terminal_costate(), 0.0,
-                            tf, fixed, ws.backward);
-  reverse_costate_into(ws.backward, tf, result.costate);
-  result.cost = evaluate_cost(work, result.state, *result.control, cost);
-  return result;
+  const std::vector<double> grid =
+      util::linspace(0.0, tf, options.grid_points);
+  ContiguousLayout layout(model, y0, tf, cost, options, grid);
+  const SweepLane lane{cost, options.epsilon1_max, options.epsilon2_max,
+                       options.initial_guess};
+  BatchSolveReport report;
+  run_sweep(layout, grid, tf, options, {&lane, 1}, "solve_optimal_control",
+            {&report, 1});
+  if (report.failed) throw util::InternalError(report.error);
+  return std::move(report.result);
 }
 
 SweepResult solve_with_terminal_target(const core::SirNetworkModel& model,

@@ -84,8 +84,7 @@ std::vector<SimulationResult> run_simulation_batch(
   util::require(options.dt > 0.0, "run_simulation_batch: dt must be positive");
   util::require(options.record_every >= 1,
                 "run_simulation_batch: record_every must be >= 1");
-  util::require(!options.adaptive &&
-                    options.method == IntegrationMethod::kRk4,
+  util::require(options.method == IntegrationMethod::kRk4,
                 "run_simulation_batch: only fixed-step RK4 is batched");
   const std::size_t n = profile.num_groups();
   for (const auto& spec : specs) {

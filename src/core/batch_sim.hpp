@@ -64,41 +64,25 @@ class BatchSirModel {
   ode::aligned_vector<double> alpha_;       // lanes
 };
 
-/// Lockstep fixed-step RK4 over [t0, t1] for a whole batch — the exact
-/// integrate_fixed time loop (same accumulation, same t_eps, same
-/// record rule) run once for all lanes. `controls(t, h, e1, e2)` fills
-/// the stage-major 3×lanes control arrays for the step starting at t;
-/// it is invoked with the same (t, h) sequence the sequential path
-/// sees, so per-lane control sampling can replicate it bit for bit.
+/// Lockstep fixed-step RK4 over [t0, t1] for a whole batch: the
+/// integrate_fixed time loop (ode::integrate_batch_loop) run once for all
+/// lanes. `controls(t, h, e1, e2)` fills the stage-major 3×lanes control
+/// arrays for the step starting at t; it is invoked with the same (t, h)
+/// sequence the sequential path sees, so per-lane control sampling can
+/// replicate it bit for bit.
 template <typename StageControls>
 void integrate_batch_fixed(const BatchSirModel& model, const double* y0,
                            double t0, double t1, double dt,
                            std::size_t record_every, StageControls&& controls,
                            ode::BatchWorkspace& ws, double* e1_stage,
                            double* e2_stage, ode::BatchTrajectory& out) {
-  const std::size_t n = model.num_groups();
-  const std::size_t lanes = model.lanes();
-  const std::size_t flat = 2 * n * lanes;
-  out.reset(2 * n, lanes);
-  out.push_back(t0, y0);
-  std::copy(y0, y0 + flat, ws.y.begin());
-
-  double t = t0;
-  std::size_t step_index = 0;
-  const double t_eps = 1e-9 * dt;
-  while (t < t1 - t_eps) {
-    const double h = std::min(dt, t1 - t);
-    controls(t, h, e1_stage, e2_stage);
-    model.step(ws.y.data(), e1_stage, e2_stage, h, ws.y_next.data(),
-               ws.scratch.data());
-    t += h;
-    ws.y.swap(ws.y_next);
-    ++step_index;
-    const bool is_last = t >= t1 - t_eps;
-    if (is_last || step_index % record_every == 0) {
-      out.push_back(t, ws.y.data());
-    }
-  }
+  ode::integrate_batch_loop(
+      y0, 2 * model.num_groups(), model.lanes(), t0, t1, dt, record_every,
+      [&](double t, double h, const double* y, double* y_next) {
+        controls(t, h, e1_stage, e2_stage);
+        model.step(y, e1_stage, e2_stage, h, y_next, ws.scratch.data());
+      },
+      ws, out);
 }
 
 /// One lane of a batched forward run: per-lane params, CONSTANT

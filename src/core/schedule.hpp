@@ -52,6 +52,18 @@ class ConstantControl final : public ControlSchedule {
   double epsilon2_;
 };
 
+/// Index of the first knot with grid[hi] > t, for t strictly inside the
+/// range of `grid` (at least two knots), walking from `hint`. The hint is
+/// only an accelerator: any value converges to the unique answer.
+inline std::size_t walk_upper_knot(const std::vector<double>& grid, double t,
+                                   std::size_t hint) {
+  std::size_t hi = hint;
+  if (hi < 1 || hi > grid.size() - 1) hi = 1;
+  while (hi > 1 && grid[hi - 1] > t) --hi;
+  while (hi + 1 < grid.size() && grid[hi] <= t) ++hi;
+  return hi;
+}
+
 /// Controls tabulated on a time grid with linear interpolation between
 /// knots and clamping outside the grid. This is the representation the
 /// forward–backward sweep optimizer produces.
@@ -85,16 +97,12 @@ class PiecewiseLinearControl final : public ControlSchedule {
   const std::vector<double>& epsilon2_values() const { return e2_; }
 
  private:
-  /// Index of the first knot with grid[hi] > t, for t strictly inside
-  /// the grid range; starts walking from the cached hint. The hint is
-  /// only an accelerator: any stale value still converges to the unique
-  /// answer, so a relaxed atomic is enough for concurrent readers and
-  /// the result never depends on the hint.
+  /// walk_upper_knot from the cached hint. Any stale hint still converges
+  /// to the unique answer, so a relaxed atomic is enough for concurrent
+  /// readers and the result never depends on the hint.
   std::size_t upper_knot(double t) const {
-    std::size_t hi = hint_.load(std::memory_order_relaxed);
-    if (hi < 1 || hi > grid_.size() - 1) hi = 1;
-    while (hi > 1 && grid_[hi - 1] > t) --hi;
-    while (hi + 1 < grid_.size() && grid_[hi] <= t) ++hi;
+    const std::size_t hi =
+        walk_upper_knot(grid_, t, hint_.load(std::memory_order_relaxed));
     hint_.store(static_cast<std::uint32_t>(hi), std::memory_order_relaxed);
     return hi;
   }

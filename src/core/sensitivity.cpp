@@ -135,8 +135,7 @@ std::vector<ElasticityRow> elasticity_table(
   // batch reproduces the sequential run under the scalar backend bit
   // for bit, so the table is unchanged up to the SIMD backends' usual
   // reduction-order ULPs.
-  if (!options.simulation.adaptive &&
-      options.simulation.method == IntegrationMethod::kRk4) {
+  if (options.simulation.method == IntegrationMethod::kRk4) {
     util::require(options.relative_step > 0.0 && options.relative_step < 1.0,
                   "trajectory_elasticity: step must be in (0,1)");
     const double h = options.relative_step;

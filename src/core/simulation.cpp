@@ -13,10 +13,7 @@ SimulationResult run_simulation(const SirNetworkModel& model,
   util::require(options.t1 > options.t0, "run_simulation: need t1 > t0");
 
   SimulationResult result;
-  const IntegrationMethod method = options.adaptive
-                                       ? IntegrationMethod::kDopri5
-                                       : options.method;
-  switch (method) {
+  switch (options.method) {
     case IntegrationMethod::kDopri5:
       result.trajectory = ode::integrate_dopri5(
           model, y0, options.t0, options.t1, options.dopri5);

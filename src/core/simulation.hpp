@@ -30,8 +30,6 @@ struct SimulationOptions {
   /// Keep every k-th sample (fixed-step methods only).
   std::size_t record_every = 1;
   IntegrationMethod method = IntegrationMethod::kRk4;
-  /// Deprecated alias: `adaptive = true` selects kDopri5.
-  bool adaptive = false;
   ode::Dopri5Options dopri5;
   /// If > 0, report the first time Σ_i I_i drops below this value as
   /// `extinction_time` (integration still runs to t1 so the full series

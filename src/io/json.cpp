@@ -351,8 +351,10 @@ std::uint64_t JsonValue::u64_or(std::string_view key,
   const JsonValue* value = find(key);
   if (value == nullptr) return fallback;
   const double n = value->as_number();
-  if (n < 0 || std::nearbyint(n) != n) {
-    throw util::IoError("json: field is not a non-negative integer");
+  // Values from 2^64 up do not fit: casting them is undefined behaviour.
+  if (!(n >= 0.0 && n < 18446744073709551616.0) || std::nearbyint(n) != n) {
+    throw util::IoError("json: field '" + std::string(key) +
+                        "' is not an integer in [0, 2^64)");
   }
   return static_cast<std::uint64_t>(n);
 }

@@ -5,6 +5,20 @@
 // reductions keep 8 lane partials and fold at the end (tolerance).
 // dispatch.cpp only publishes this table after CPUID confirms
 // F+DQ+BW+VL.
+
+// GCC 12's avx512fintrin.h seeds _mm512_reduce_add_pd/_epi64,
+// _mm512_extract*x4, _mm512_srli_*, _mm512_broadcast_i32x4 and others
+// with _mm512_undefined_* placeholder operands. Inlined into the kernels
+// below, -Wall reports those placeholders as (maybe-)uninitialized reads
+// and -Werror stops the build, though they are the header's don't-care
+// inputs, not reads of our data. The pragma is limited to this file and
+// to the GCC releases before 13, and precedes every include so that it
+// covers the header's lines.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 #include <immintrin.h>
 
 #include "kern/batch_impl.hpp"

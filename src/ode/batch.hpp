@@ -15,6 +15,7 @@
 // merely lose a little speed, never correctness).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -153,5 +154,35 @@ struct BatchWorkspace {
     scratch.assign(scratch_doubles, 0.0);
   }
 };
+
+/// The integrate_fixed time loop over a lane-interleaved flat state —
+/// same accumulation, same t_eps, same record rule — run once for all
+/// lanes: from y0 (dim·lanes doubles) at t0 to t1 in steps of at most
+/// dt, `step(t, h, y, y_next)` advancing ws.y into ws.y_next; `out`
+/// records t0, every `record_every`-th step, and the last.
+template <typename Step>
+void integrate_batch_loop(const double* y0, std::size_t dim,
+                          std::size_t lanes, double t0, double t1, double dt,
+                          std::size_t record_every, Step&& step,
+                          BatchWorkspace& ws, BatchTrajectory& out) {
+  out.reset(dim, lanes);
+  out.push_back(t0, y0);
+  std::copy(y0, y0 + dim * lanes, ws.y.begin());
+
+  double t = t0;
+  std::size_t step_index = 0;
+  const double t_eps = 1e-9 * dt;
+  while (t < t1 - t_eps) {
+    const double h = std::min(dt, t1 - t);
+    step(t, h, ws.y.data(), ws.y_next.data());
+    t += h;
+    ws.y.swap(ws.y_next);
+    ++step_index;
+    const bool is_last = t >= t1 - t_eps;
+    if (is_last || step_index % record_every == 0) {
+      out.push_back(t, ws.y.data());
+    }
+  }
+}
 
 }  // namespace rumor::ode

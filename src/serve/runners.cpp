@@ -5,6 +5,7 @@
 #include <map>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,6 +46,14 @@ sim::AgentEngine parse_engine(const io::JsonValue& spec) {
   if (name == "dense") return sim::AgentEngine::kDense;
   throw util::InvalidArgument("job spec: engine must be 'frontier' or "
                               "'dense', got '" + name + "'");
+}
+
+// Count fields must be non-negative integers below 2^64: anything else
+// throws util::IoError (answered bad_request) instead of wrapping around
+// in a cast — "substeps": -1 would become 2^64 − 1 and never finish.
+std::size_t count_or(const io::JsonValue& spec, std::string_view key,
+                     std::size_t fallback) {
+  return static_cast<std::size_t>(spec.u64_or(key, fallback));
 }
 
 sim::AgentParams parse_agent_params(const io::JsonValue& spec) {
@@ -119,8 +128,7 @@ RunOutcome run_simulate(Job& job, GraphCache& cache) {
     // trajectory is the uninterrupted one.
     sim::load_agent_checkpoint(simulation, checkpoint_path);
   } else {
-    const auto infected = static_cast<std::size_t>(
-        spec.number_or("initial_infected", 10.0));
+    const auto infected = count_or(spec, "initial_infected", 10);
     simulation.seed_random_infections(infected);
   }
 
@@ -154,8 +162,7 @@ RunOutcome run_plan(Job& job, GraphCache& cache) {
   const io::JsonValue& spec = require_spec(job);
   const auto pin =
       cache.get(require_graph_path(spec), spec.bool_or("directed", false));
-  const auto groups =
-      static_cast<std::size_t>(spec.number_or("groups", 10.0));
+  const auto groups = count_or(spec, "groups", 10);
   const core::NetworkProfile profile = profile_of(*pin).coarsened(groups);
 
   core::ModelParams params;
@@ -181,16 +188,13 @@ RunOutcome run_plan(Job& job, GraphCache& cache) {
         "job spec: algorithm must be 'fbsm' or 'pg', got '" + algorithm +
         "'");
   }
-  sweep.grid_points =
-      static_cast<std::size_t>(spec.number_or("grid_points", 101.0));
-  sweep.substeps = static_cast<std::size_t>(spec.number_or("substeps", 4.0));
-  sweep.max_iterations =
-      static_cast<std::size_t>(spec.number_or("max_iterations", 200.0));
+  sweep.grid_points = count_or(spec, "grid_points", 101);
+  sweep.substeps = count_or(spec, "substeps", 4);
+  sweep.max_iterations = count_or(spec, "max_iterations", 200);
   sweep.epsilon1_max = spec.number_or("eps_max", 0.7);
   sweep.epsilon2_max = sweep.epsilon1_max;
   sweep.checkpoint_path = job.dir + "/sweep.ckp";
-  sweep.checkpoint_every = static_cast<std::size_t>(
-      spec.number_or("checkpoint_every", 10.0));
+  sweep.checkpoint_every = count_or(spec, "checkpoint_every", 10);
   sweep.resume = true;  // a preempted job resumes its own checkpoint
   sweep.keep_going = [&job] { return job.keep_going(); };
 
@@ -256,8 +260,7 @@ RunOutcome run_sweep(Job& job, GraphCache& cache) {
   util::require(seeds >= 1, "job spec: seeds must be >= 1");
   const std::uint64_t seed0 = spec.u64_or("seed0", 1);
   const double t_end = spec.number_or("t_end", 30.0);
-  const auto infected = static_cast<std::size_t>(
-      spec.number_or("initial_infected", 10.0));
+  const auto infected = count_or(spec, "initial_infected", 10);
 
   // Whole completed ensemble members carry across preemptions; an
   // interrupted member restarts from scratch (its trajectory is a pure
@@ -306,31 +309,23 @@ stream::StreamConfig parse_stream_config(const io::JsonValue& spec) {
   const io::JsonValue* nodes = spec.find("num_nodes");
   util::require(nodes != nullptr && nodes->is_number(),
                 "job spec: 'num_nodes' (number) is required for stream");
-  config.num_nodes = static_cast<std::size_t>(nodes->as_number());
+  config.num_nodes = count_or(spec, "num_nodes", 0);
   config.directed = spec.bool_or("directed", false);
   config.dt = spec.number_or("dt", 0.1);
   config.seed = spec.u64_or("seed", 1);
   config.engine = parse_engine(spec);
   config.lambda_scale = spec.number_or("lambda_scale", 1.0);
   config.alpha = spec.number_or("alpha", 0.05);
-  config.replan_every =
-      static_cast<std::size_t>(spec.number_or("replan_every", 5.0));
-  config.refit_every =
-      static_cast<std::size_t>(spec.number_or("refit_every", 5.0));
+  config.replan_every = count_or(spec, "replan_every", 5);
+  config.refit_every = count_or(spec, "refit_every", 5);
   config.open_loop = spec.bool_or("open_loop", false);
-  config.estimator.window =
-      static_cast<std::size_t>(spec.number_or("window", 48.0));
-  config.estimator.min_observations = static_cast<std::size_t>(
-      spec.number_or("min_observations", 6.0));
-  config.planner.groups =
-      static_cast<std::size_t>(spec.number_or("groups", 8.0));
+  config.estimator.window = count_or(spec, "window", 48);
+  config.estimator.min_observations = count_or(spec, "min_observations", 6);
+  config.planner.groups = count_or(spec, "groups", 8);
   config.planner.horizon = spec.number_or("horizon", 10.0);
-  config.planner.grid_points =
-      static_cast<std::size_t>(spec.number_or("grid_points", 41.0));
-  config.planner.substeps =
-      static_cast<std::size_t>(spec.number_or("substeps", 2.0));
-  config.planner.max_iterations =
-      static_cast<std::size_t>(spec.number_or("max_iterations", 80.0));
+  config.planner.grid_points = count_or(spec, "grid_points", 41);
+  config.planner.substeps = count_or(spec, "substeps", 2);
+  config.planner.max_iterations = count_or(spec, "max_iterations", 80);
   config.planner.budget_iterations = spec.u64_or("budget_iterations", 0);
   config.planner.budget_ms = spec.number_or("budget_ms", 0.0);
   config.planner.cost.c1 = spec.number_or("c1", 5.0);

@@ -164,6 +164,13 @@ TEST(Fbsweep, ValidatesArguments) {
   EXPECT_THROW(
       solve_optimal_control(model, y0, 10.0, CostParams{}, options),
       util::InvalidArgument);
+  // PG's J-window test reads the objective j_window iterations back.
+  options = fast_options();
+  options.algorithm = SweepAlgorithm::kProjectedGradient;
+  options.j_window = 0;
+  EXPECT_THROW(
+      solve_optimal_control(model, y0, 10.0, CostParams{}, options),
+      util::InvalidArgument);
 }
 
 TEST(TerminalTarget, EscalatesUntilTargetIsMet) {

@@ -44,7 +44,7 @@ TEST(RunSimulation, AdaptiveAndFixedAgree) {
   fixed.dt = 0.005;
   SimulationOptions adaptive;
   adaptive.t1 = 20.0;
-  adaptive.adaptive = true;
+  adaptive.method = IntegrationMethod::kDopri5;
   adaptive.dopri5.rel_tol = 1e-10;
   adaptive.dopri5.abs_tol = 1e-12;
   const auto y0 = model.initial_state(0.05);
@@ -218,27 +218,6 @@ TEST(RunSimulation, ImplicitHandlesStiffHighDegreeProfile) {
       EXPECT_LE(y[i], 1.2);
     }
   }
-}
-
-TEST(RunSimulation, AdaptiveAliasStillSelectsDopri5) {
-  ModelParams params;
-  params.alpha = 0.03;
-  params.lambda = Acceptance::linear(1.0);
-  params.omega = Infectivity::saturating(0.5, 0.5);
-  const SirNetworkModel model(NetworkProfile::homogeneous(3.0), params,
-                              make_constant_control(0.2, 0.3));
-  SimulationOptions legacy;
-  legacy.t1 = 5.0;
-  legacy.adaptive = true;
-  SimulationOptions modern;
-  modern.t1 = 5.0;
-  modern.method = IntegrationMethod::kDopri5;
-  const auto y0 = model.initial_state(0.05);
-  const auto a = run_simulation(model, y0, legacy);
-  const auto b = run_simulation(model, y0, modern);
-  EXPECT_EQ(a.trajectory.size(), b.trajectory.size());
-  EXPECT_DOUBLE_EQ(a.trajectory.back_state()[0],
-                   b.trajectory.back_state()[0]);
 }
 
 }  // namespace

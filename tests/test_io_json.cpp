@@ -101,6 +101,18 @@ TEST(IoJson, FallbackAccessorsDistinguishAbsentFromMistyped) {
   EXPECT_THROW(doc.u64_or("s", 0u), util::IoError);
 }
 
+// 2^64 and above do not fit a u64 (the cast would be undefined
+// behaviour), so they are rejected like negatives and fractions.
+TEST(IoJson, U64RejectsValuesOutsideItsRange) {
+  const JsonValue doc = JsonValue::parse(
+      R"({"top":18446744073709549568,"pow64":18446744073709551616,)"
+      R"("huge":1e300,"neg":-1,"frac":2.5})");
+  EXPECT_EQ(doc.u64_or("top", 0u), 18446744073709549568ull);  // 2^64 − 2^11
+  for (const char* key : {"pow64", "huge", "neg", "frac"}) {
+    EXPECT_THROW(doc.u64_or(key, 0u), util::IoError) << key;
+  }
+}
+
 TEST(IoJson, SetInsertsAndReplaces) {
   JsonValue doc = JsonValue::make_object();
   doc.set("a", 1);

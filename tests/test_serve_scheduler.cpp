@@ -16,6 +16,7 @@
 #include "io/graph_binary.hpp"
 #include "io/json.hpp"
 #include "serve/scheduler.hpp"
+#include "stream/event.hpp"
 #include "util/random.hpp"
 
 namespace rumor::serve {
@@ -292,6 +293,38 @@ TEST_F(ServeSchedulerTest, BadSpecsFailWithBadRequest) {
     EXPECT_EQ(json->find("state")->as_string(), "failed");
     EXPECT_EQ(json->find("error")->find("code")->as_string(),
               kErrBadRequest);
+  }
+}
+
+// Count fields are non-negative integers. "substeps": -1 used to wrap to
+// 2^64 − 1 in a cast, pass the substeps >= 1 check and spin in the first
+// forward pass, where neither cancel nor a deadline could reach it.
+TEST_F(ServeSchedulerTest, MalformedCountsFailWithBadRequest) {
+  const std::string events = (root_ / "events.jsonl").string();
+  stream::save_event_log({stream::Event{}}, events,
+                         stream::EventLogWriter::Format::kJsonLines);
+  Scheduler sched(options(2));
+  for (const JobType type : {JobType::kPlan, JobType::kStream}) {
+    for (const auto& [field, value] :
+         {std::pair{"substeps", -1.0}, {"grid_points", 2.5}}) {
+      io::JsonValue spec = spec_with_graph();
+      if (type == JobType::kStream) {
+        spec.set("events", events);
+        spec.set("num_nodes", 400);
+      }
+      spec.set(field, value);
+      const auto sub = sched.submit(type, std::move(spec), 0, 0);
+      ASSERT_NE(sub.job, nullptr);
+      ASSERT_TRUE(sched.wait(sub.job->id, 10000ms)) << field;
+      const auto json = sched.job_json(sub.job->id);
+      EXPECT_EQ(json->find("state")->as_string(), "failed") << field;
+      const io::JsonValue* error = json->find("error");
+      ASSERT_NE(error, nullptr) << field;
+      EXPECT_EQ(error->find("code")->as_string(), kErrBadRequest) << field;
+      EXPECT_NE(error->find("message")->as_string().find(field),
+                std::string::npos)
+          << error->find("message")->as_string();
+    }
   }
 }
 
