@@ -83,7 +83,11 @@ class ByteReader {
     const std::uint64_t count = u64();
     require_count<T>(count);
     std::vector<T> values(count);
-    std::memcpy(values.data(), data_.data() + pos_, count * sizeof(T));
+    // An empty vector's data() may be null, and memcpy's pointers must
+    // not be, whatever the size.
+    if (count != 0) {
+      std::memcpy(values.data(), data_.data() + pos_, count * sizeof(T));
+    }
     pos_ += count * sizeof(T);
     return values;
   }

@@ -11,7 +11,8 @@
 // scalar backend's sequential one-problem solve — see the determinism
 // policy in kern.hpp.
 //
-// Internal header: include only from src/kern/*.cpp.
+// Internal header: include only from src/kern/*.cpp. Internal linkage,
+// for the reason given in scalar_impl.hpp.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +20,7 @@
 #include "kern/scalar_impl.hpp"
 
 namespace rumor::kern::batchref {
+namespace {
 
 inline void dot(const double* a, const double* b, std::size_t n,
                 std::size_t lanes, double* out) {
@@ -184,4 +186,5 @@ inline void costate_rk4_step(const double* w, std::size_t n, std::size_t lanes,
   scalar::rk4_combine(w, k1, k2, k3, k4, h / 6.0, w_next, 0, dim);
 }
 
+}  // namespace
 }  // namespace rumor::kern::batchref

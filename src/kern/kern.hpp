@@ -36,6 +36,17 @@
 //     ALL backends, and each lane is bit-identical to the scalar
 //     backend's sequential one-problem solve.
 //
+// Backends. scalar_impl.hpp and batch_impl.hpp hold the scalar reference
+// bodies (kernels_scalar.cpp publishes them). simd_impl.hpp writes every
+// floating-point kernel once, as a template over a vector-traits struct;
+// kernels_avx2.cpp and kernels_avx512.cpp each define their traits,
+// instantiate the templates under their own -m flags, and keep as their
+// own code only what their instructions differ in: census2's popcount,
+// the draw_candidates sweep, and AVX-512's forwarding of the small-n
+// model kernels to the AVX2 table. Every body in those internal headers
+// has internal linkage, so the linker can never substitute one ISA TU's
+// compiled copy for another's.
+//
 // This seam is deliberately C-shaped (raw pointers + lengths, no
 // templates in the ABI) so a future CUDA path can sit behind the same
 // table — see ROADMAP item 2.

@@ -8,7 +8,10 @@
 // backend's compiler silently fuses a multiply-add another backend
 // performs as two roundings.
 //
-// Internal header: include only from src/kern/*.cpp.
+// Internal header: include only from src/kern/*.cpp. Everything here has
+// internal linkage: the ISA TUs compile it under their own -m flags, and
+// an inline function with external linkage would leave one weak copy per
+// TU for the linker to pick from.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +20,7 @@
 #include "util/random.hpp"
 
 namespace rumor::kern::scalar {
+namespace {
 
 inline double dot(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
@@ -303,4 +307,5 @@ inline std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
   return count;
 }
 
+}  // namespace
 }  // namespace rumor::kern::scalar

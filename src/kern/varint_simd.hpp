@@ -20,7 +20,9 @@
 // handful of callers with larger limits (none today — limit is a node
 // count) take the scalar path entirely.
 //
-// Internal header: include only from src/kern/kernels_avx*.cpp.
+// Internal header: include only from src/kern/kernels_avx*.cpp. The
+// decoder has internal linkage: each TU keeps the copy compiled under its
+// own -m flags, so AVX-512 encodings can never reach the AVX2 backend.
 #pragma once
 
 #include <immintrin.h>
@@ -28,6 +30,7 @@
 #include "kern/scalar_impl.hpp"
 
 namespace rumor::kern::simd {
+namespace {
 
 inline std::size_t varint_decode_deltas_avx2(const std::uint8_t* src,
                                              std::size_t avail,
@@ -85,4 +88,5 @@ inline std::size_t varint_decode_deltas_avx2(const std::uint8_t* src,
   return pos;
 }
 
+}  // namespace
 }  // namespace rumor::kern::simd

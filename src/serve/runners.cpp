@@ -1,10 +1,12 @@
 #include "serve/runners.hpp"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <span>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -54,6 +56,28 @@ sim::AgentEngine parse_engine(const io::JsonValue& spec) {
 std::size_t count_or(const io::JsonValue& spec, std::string_view key,
                      std::size_t fallback) {
   return static_cast<std::size_t>(spec.u64_or(key, fallback));
+}
+
+// A plan solve polls keep_going between sweep iterations, and one
+// forward pass runs (grid_points − 1) · substeps RK4 steps over `groups`
+// groups, so a spec like "substeps": 1e9 would ignore cancel and
+// deadlines for hours. 2^23 is ~2000× the largest default (plan:
+// 100 · 4 · 10 = 4,000; stream: 40 · 2 · 8 = 640).
+constexpr std::uint64_t kMaxStepWork = std::uint64_t{1} << 23;
+
+void require_step_work(std::size_t grid_points, std::size_t substeps,
+                       std::size_t groups) {
+  const std::uint64_t intervals = grid_points > 0 ? grid_points - 1 : 0;
+  std::uint64_t work = 0;
+  const bool overflow =
+      __builtin_mul_overflow(intervals, std::uint64_t{substeps}, &work) ||
+      __builtin_mul_overflow(work, std::uint64_t{groups}, &work);
+  util::require(!overflow && work <= kMaxStepWork,
+                "job spec: (grid_points - 1) * substeps * groups = " +
+                    std::to_string(intervals) + " * " +
+                    std::to_string(substeps) + " * " +
+                    std::to_string(groups) + " exceeds 2^23 = " +
+                    std::to_string(kMaxStepWork));
 }
 
 sim::AgentParams parse_agent_params(const io::JsonValue& spec) {
@@ -190,6 +214,7 @@ RunOutcome run_plan(Job& job, GraphCache& cache) {
   }
   sweep.grid_points = count_or(spec, "grid_points", 101);
   sweep.substeps = count_or(spec, "substeps", 4);
+  require_step_work(sweep.grid_points, sweep.substeps, groups);
   sweep.max_iterations = count_or(spec, "max_iterations", 200);
   sweep.epsilon1_max = spec.number_or("eps_max", 0.7);
   sweep.epsilon2_max = sweep.epsilon1_max;
@@ -325,6 +350,8 @@ stream::StreamConfig parse_stream_config(const io::JsonValue& spec) {
   config.planner.horizon = spec.number_or("horizon", 10.0);
   config.planner.grid_points = count_or(spec, "grid_points", 41);
   config.planner.substeps = count_or(spec, "substeps", 2);
+  require_step_work(config.planner.grid_points, config.planner.substeps,
+                    config.planner.groups);
   config.planner.max_iterations = count_or(spec, "max_iterations", 80);
   config.planner.budget_iterations = spec.u64_or("budget_iterations", 0);
   config.planner.budget_ms = spec.number_or("budget_ms", 0.0);

@@ -65,7 +65,7 @@ void expect_bitwise(const double* got, const double* want, std::size_t n,
                     const char* what, const kern::Ops& ops) {
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(got[i], want[i])
-        << what << " diverges from scalar at i=" << i << " n=" << n
+        << what << " diverges from the reference at i=" << i << " n=" << n
         << " backend=" << kern::to_string(ops.backend);
   }
 }
@@ -315,6 +315,76 @@ TEST(KernSweep, FusedCostateStepMatchesUnfusedSequence) {
           expect_bitwise(fused.data(), want.data(), dim, "costate_rk4_step",
                          ops);
         }
+      }
+    }
+  }
+}
+
+// Below 16 groups the AVX-512 model kernels forward to the AVX2 table
+// (kernels_avx512.cpp), so paper-scale solves (n ≈ 10) get the same
+// bits on either backend. The sweeps above cannot see a lost forward:
+// they compare reductions to scalar within ULPs, and the per-backend
+// solve digests run at 20 groups. Pin it bitwise.
+TEST(KernSweep, Avx512ForwardsSmallModelKernelsToAvx2) {
+  for (kern::Backend b : {kern::Backend::kAvx2, kern::Backend::kAvx512}) {
+    if (!kern::compiled(b) || !kern::cpu_supports(b)) {
+      GTEST_SKIP() << kern::to_string(b) << " backend unavailable";
+    }
+  }
+  const kern::Ops& narrow = kern::ops(kern::Backend::kAvx2);
+  const kern::Ops& wide = kern::ops(kern::Backend::kAvx512);
+  util::Xoshiro256 rng(4321);
+  for (std::size_t n = 1; n < 16; ++n) {
+    const std::size_t dim = 2 * n;
+    for (std::size_t off : kOffsets) {
+      Buf s(n, off, rng), i(n, off, rng), lambda(n, off, rng),
+          phi(n, off, rng), psi(n, off, rng), phic(n, off, rng),
+          phi_over_k(n, off, rng), y(dim, off, rng), w(dim, off, rng),
+          ymid(dim, off, rng), y1(dim, off, rng);
+      std::vector<double> want_a(n), want_b(n), got_a(n), got_b(n);
+      std::vector<double> want(dim), got(dim);
+      std::vector<double> scratch(kern::fused_scratch_doubles(n));
+      const double e1[3] = {0.11, 0.12, 0.13};
+      const double e2[3] = {0.21, 0.22, 0.23};
+      const double theta[3] = {0.31, 0.32, 0.33};
+
+      const double theta_want =
+          narrow.sir_rhs(s.ptr, i.ptr, lambda.ptr, phi.ptr, n, 6.0, 0.05,
+                         0.1, 0.2, want_a.data(), want_b.data());
+      const double theta_got =
+          wide.sir_rhs(s.ptr, i.ptr, lambda.ptr, phi.ptr, n, 6.0, 0.05, 0.1,
+                       0.2, got_a.data(), got_b.data());
+      ASSERT_EQ(theta_got, theta_want) << "sir_rhs theta n=" << n;
+      expect_bitwise(got_a.data(), want_a.data(), n, "sir_rhs dS", wide);
+      expect_bitwise(got_b.data(), want_b.data(), n, "sir_rhs dI", wide);
+
+      narrow.sir_rk4_step(y.ptr, n, 6.0, 0.05, e1, e2, lambda.ptr, phi.ptr,
+                          0.02, want.data(), scratch.data());
+      wide.sir_rk4_step(y.ptr, n, 6.0, 0.05, e1, e2, lambda.ptr, phi.ptr,
+                        0.02, got.data(), scratch.data());
+      expect_bitwise(got.data(), want.data(), dim, "sir_rk4_step", wide);
+
+      for (bool diagonal : {false, true}) {
+        narrow.costate_rhs(s.ptr, i.ptr, psi.ptr, phic.ptr, lambda.ptr,
+                           phi_over_k.ptr, n, -0.1, -0.2, 0.05, 0.1, 0.21,
+                           diagonal, want_a.data(), want_b.data());
+        wide.costate_rhs(s.ptr, i.ptr, psi.ptr, phic.ptr, lambda.ptr,
+                         phi_over_k.ptr, n, -0.1, -0.2, 0.05, 0.1, 0.21,
+                         diagonal, got_a.data(), got_b.data());
+        expect_bitwise(got_a.data(), want_a.data(), n, "costate_rhs dpsi",
+                       wide);
+        expect_bitwise(got_b.data(), want_b.data(), n, "costate_rhs dphi",
+                       wide);
+
+        narrow.costate_rk4_step(w.ptr, n, y.ptr, ymid.ptr, y1.ptr,
+                                lambda.ptr, phi_over_k.ptr, theta, e1, e2,
+                                5.0, 10.0, 0.02, diagonal, want.data(),
+                                scratch.data());
+        wide.costate_rk4_step(w.ptr, n, y.ptr, ymid.ptr, y1.ptr, lambda.ptr,
+                              phi_over_k.ptr, theta, e1, e2, 5.0, 10.0, 0.02,
+                              diagonal, got.data(), scratch.data());
+        expect_bitwise(got.data(), want.data(), dim, "costate_rk4_step",
+                       wide);
       }
     }
   }

@@ -306,7 +306,8 @@ TEST_F(ServeSchedulerTest, MalformedCountsFailWithBadRequest) {
   Scheduler sched(options(2));
   for (const JobType type : {JobType::kPlan, JobType::kStream}) {
     for (const auto& [field, value] :
-         {std::pair{"substeps", -1.0}, {"grid_points", 2.5}}) {
+         {std::pair{"substeps", -1.0}, {"grid_points", 2.5},
+          {"substeps", 1e9}}) {
       io::JsonValue spec = spec_with_graph();
       if (type == JobType::kStream) {
         spec.set("events", events);
