@@ -171,16 +171,22 @@ struct Ops {
                                       std::size_t avail, std::uint32_t base,
                                       std::uint32_t limit, std::uint32_t* out,
                                       std::size_t count);
-  /// The agent simulator's draw sweep: writes to out, in ascending
-  /// order, every v in [lo, hi) whose first per-node draw
-  /// util::CounterRng(util::hash_mix(key, v)).next() >> 11 is below
-  /// `threshold` (see draw_threshold), or whose exposure[v] is
-  /// non-zero. Returns the count written; out needs room for hi − lo
-  /// ids. Bit-exact across backends (integer kernel).
+  /// The agent simulator's draw sweep. Node v's stream key is
+  /// util::splitmix64(key ^ premix[v]), which is util::hash_mix(key, v)
+  /// when the caller has tabulated premix[v] = util::premix(v), and its
+  /// first draw is util::CounterRng(stream key).next() >> 11. Writes
+  /// to out, in ascending order, every v in [lo, hi) whose first draw
+  /// is below `threshold` (see draw_threshold), or whose exposure[v] is
+  /// non-zero, and to keys[i] the stream key of out[i]. Returns the
+  /// count written. out and keys each need room for hi − lo entries:
+  /// entries past the count are scratch the backend may overwrite.
+  /// exposure and premix are read in [lo, hi) only. Bit-exact across
+  /// backends (integer kernel).
   std::size_t (*draw_candidates)(std::uint64_t key, std::uint64_t threshold,
                                  const std::uint32_t* exposure,
+                                 const std::uint64_t* premix,
                                  std::size_t lo, std::size_t hi,
-                                 std::uint32_t* out);
+                                 std::uint32_t* out, std::uint64_t* keys);
 
   // --- batched lane-per-problem kernels ------------------------------
   // `lanes` independent problems interleaved SoA: a[j*lanes + l] is

@@ -125,22 +125,21 @@ inline __m256i splitmix64(__m256i x) {
 }
 
 std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
-                            const std::uint32_t* exposure, std::size_t lo,
-                            std::size_t hi, std::uint32_t* out) {
-  const __m256i golden =
-      _mm256_set1_epi64x(static_cast<long long>(0x9E3779B97F4A7C15ULL));
-  const __m256i keys = _mm256_set1_epi64x(static_cast<long long>(key));
+                            const std::uint32_t* exposure,
+                            const std::uint64_t* premix, std::size_t lo,
+                            std::size_t hi, std::uint32_t* out,
+                            std::uint64_t* keys) {
+  const __m256i step = _mm256_set1_epi64x(static_cast<long long>(key));
   // Draws are < 2^53 and thresholds <= 2^53, so a signed compare is exact.
   const __m256i limit = _mm256_set1_epi64x(static_cast<long long>(threshold));
-  const auto first = static_cast<long long>(lo);
-  __m256i ids = _mm256_setr_epi64x(first, first + 1, first + 2, first + 3);
   std::size_t count = 0;
   std::size_t v = lo;
   for (; v + kLanes <= hi; v += kLanes) {
-    // hash_mix(key, v) = splitmix64(key ^ (splitmix64(v) + golden)); the
-    // first draw is one more splitmix64 step of that key.
-    const __m256i mixed = splitmix64(
-        _mm256_xor_si256(keys, _mm256_add_epi64(splitmix64(ids), golden)));
+    // hash_mix(key, v) = splitmix64(key ^ premix(v)) is the node's stream
+    // key; its first draw is one more splitmix64 step.
+    const __m256i mixed = splitmix64(_mm256_xor_si256(
+        step,
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(premix + v))));
     const __m256i draw = _mm256_srli_epi64(splitmix64(mixed), 11);
     const __m256i unexposed = _mm256_cmpeq_epi64(
         _mm256_cvtepu32_epi64(
@@ -151,15 +150,17 @@ std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
     const auto idle = static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_castsi256_pd(unexposed)));
     const unsigned keep = hit | (~idle & 0xFu);
+    alignas(32) std::uint64_t stream[kLanes];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(stream), mixed);
     // Branch-free append, as in the scalar reference.
     for (unsigned lane = 0; lane < kLanes; ++lane) {
       out[count] = static_cast<std::uint32_t>(v + lane);
+      keys[count] = stream[lane];
       count += (keep >> lane) & 1u;
     }
-    ids = _mm256_add_epi64(ids, _mm256_set1_epi64x(4));
   }
-  return count + scalar::draw_candidates(key, threshold, exposure, v, hi,
-                                         out + count);
+  return count + scalar::draw_candidates(key, threshold, exposure, premix, v,
+                                         hi, out + count, keys + count);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // instantiated over the Avx512 traits below, under the same contract as
 // the AVX2 backend; this TU holds only what its instructions make its
 // own: the traits, the forwarding of small model kernels to AVX2, the
-// 512-bit census, and the draw sweep (vpmullq, vpcompressd).
+// 512-bit census, and the draw sweep (vpmullq, vpcompressd/q).
 // dispatch.cpp only publishes this table after CPUID confirms
 // F+DQ+BW+VL.
 
@@ -186,14 +186,12 @@ inline __m512i splitmix64(__m512i x) {
 }
 
 std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
-                            const std::uint32_t* exposure, std::size_t lo,
-                            std::size_t hi, std::uint32_t* out) {
-  const __m512i golden =
-      _mm512_set1_epi64(static_cast<long long>(0x9E3779B97F4A7C15ULL));
-  const __m512i keys = _mm512_set1_epi64(static_cast<long long>(key));
+                            const std::uint32_t* exposure,
+                            const std::uint64_t* premix, std::size_t lo,
+                            std::size_t hi, std::uint32_t* out,
+                            std::uint64_t* keys) {
+  const __m512i step = _mm512_set1_epi64(static_cast<long long>(key));
   const __m512i limit = _mm512_set1_epi64(static_cast<long long>(threshold));
-  __m512i ids = _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(lo)),
-                                 _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
   // Node ids are u32; the 32-bit lanes wrap exactly as unsigned adds.
   __m256i ids32 = _mm256_add_epi32(
       _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(lo))),
@@ -201,27 +199,28 @@ std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
   std::size_t count = 0;
   std::size_t v = lo;
   for (; v + kLanes <= hi; v += kLanes) {
-    // hash_mix(key, v) = splitmix64(key ^ (splitmix64(v) + golden)); the
-    // first draw is one more splitmix64 step of that key.
-    const __m512i mixed = splitmix64(
-        _mm512_xor_si512(keys, _mm512_add_epi64(splitmix64(ids), golden)));
+    // hash_mix(key, v) = splitmix64(key ^ premix(v)) is the node's stream
+    // key; its first draw is one more splitmix64 step.
+    const __m512i mixed =
+        splitmix64(_mm512_xor_si512(step, _mm512_loadu_si512(premix + v)));
     const __m512i draw = _mm512_srli_epi64(splitmix64(mixed), 11);
     const __m256i exposed =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(exposure + v));
     const __mmask8 keep = _mm512_cmplt_epu64_mask(draw, limit) |
                           _mm256_test_epi32_mask(exposed, exposed);
     // Compress in a register and store all eight lanes: the slots past
-    // the kept ids lie inside this range's own output (count <= v - lo),
-    // and the next store overwrites them. A memory-destination
-    // compress would avoid the overhang but is microcoded on some cores.
+    // the kept ids and keys lie inside this range's own output
+    // (count <= v - lo), and the next store overwrites them. A
+    // memory-destination compress would avoid the overhang but is
+    // microcoded on some cores.
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + count),
                         _mm256_maskz_compress_epi32(keep, ids32));
+    _mm512_storeu_si512(keys + count, _mm512_maskz_compress_epi64(keep, mixed));
     count += static_cast<std::size_t>(__builtin_popcount(keep));
-    ids = _mm512_add_epi64(ids, _mm512_set1_epi64(8));
     ids32 = _mm256_add_epi32(ids32, _mm256_set1_epi32(8));
   }
-  return count + scalar::draw_candidates(key, threshold, exposure, v, hi,
-                                         out + count);
+  return count + scalar::draw_candidates(key, threshold, exposure, premix, v,
+                                         hi, out + count, keys + count);
 }
 
 }  // namespace

@@ -291,16 +291,19 @@ inline std::size_t varint_decode_deltas(const std::uint8_t* src,
 
 /// Reference draw sweep (Ops::draw_candidates). The draw is the 53-bit
 /// mantissa CounterRng::uniform scales by 2^-53. Branch-free append:
-/// every id is stored and the cursor advances only for hits, so
-/// out[count] never runs past the range's own length.
+/// every id and key is stored and the cursor advances only for hits,
+/// so out[count] and keys[count] never run past the range's own length.
 inline std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
                                    const std::uint32_t* exposure,
+                                   const std::uint64_t* premix,
                                    std::size_t lo, std::size_t hi,
-                                   std::uint32_t* out) {
+                                   std::uint32_t* out, std::uint64_t* keys) {
   std::size_t count = 0;
   for (std::size_t v = lo; v < hi; ++v) {
-    util::CounterRng draw(util::hash_mix(key, v));
+    const std::uint64_t stream = util::splitmix64(key ^ premix[v]);
+    util::CounterRng draw(stream);
     out[count] = static_cast<std::uint32_t>(v);
+    keys[count] = stream;
     count += static_cast<std::size_t>(((draw.next() >> 11) < threshold) |
                                       (exposure[v] != 0));
   }

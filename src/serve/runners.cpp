@@ -121,18 +121,6 @@ core::NetworkProfile profile_of(const CachedGraph& cached) {
       graph::DegreeHistogram::from_counts(std::move(pairs)));
 }
 
-/// CRC of the per-node compartment bytes: a resume-invariant
-/// fingerprint of the microscopic end state.
-std::uint32_t state_crc(const sim::AgentSimulation& simulation,
-                        std::uint32_t seed = 0) {
-  std::vector<std::byte> bytes(simulation.num_nodes());
-  for (std::size_t v = 0; v < bytes.size(); ++v) {
-    bytes[v] = static_cast<std::byte>(
-        simulation.state(static_cast<graph::NodeId>(v)));
-  }
-  return io::crc32(bytes, seed);
-}
-
 // ---- simulate -------------------------------------------------------
 
 RunOutcome run_simulate(Job& job, GraphCache& cache) {
@@ -176,7 +164,7 @@ RunOutcome run_simulate(Job& job, GraphCache& cache) {
   result.set("recovered", static_cast<double>(census.recovered));
   result.set("ever_infected",
              static_cast<double>(simulation.ever_infected()));
-  result.set("state_crc", static_cast<double>(state_crc(simulation)));
+  result.set("state_crc", static_cast<double>(sim::state_crc(simulation)));
   return {RunOutcome::kCompleted, std::move(result)};
 }
 
@@ -314,7 +302,7 @@ RunOutcome run_sweep(Job& job, GraphCache& cache) {
         static_cast<double>(simulation.ever_infected());
     progress.sum_final_infected +=
         static_cast<double>(simulation.census().infected);
-    progress.crc = state_crc(simulation, progress.crc);
+    progress.crc = sim::state_crc(simulation, progress.crc);
   }
 
   io::JsonValue result = io::JsonValue::make_object();

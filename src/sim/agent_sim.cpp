@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <mutex>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -58,6 +59,29 @@ constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 // only ever move nodes out of S, so a transition *to* S cannot be a
 // decision, and applying it to a susceptible node is a no-op.
 constexpr Compartment kUndecided = Compartment::kSusceptible;
+
+// util::premix(v) for every v below at least n. premix(v) depends on v
+// alone, so one table serves every frontier simulation in the process:
+// constructing one — once per tick in the stream engine — hashes no
+// node ids unless its graph is the largest yet. A larger graph replaces
+// the table; simulations holding the old one keep it alive. Leaked, as
+// sim_metrics() is, so no construction during exit finds it destroyed.
+std::shared_ptr<const std::uint64_t[]> premix_table(std::size_t n) {
+  struct Cache {
+    std::mutex mutex;
+    std::shared_ptr<const std::uint64_t[]> table;
+    std::size_t size = 0;
+  };
+  static Cache* const cache = new Cache;
+  const std::lock_guard<std::mutex> lock(cache->mutex);
+  if (cache->size < n) {
+    const auto grown = std::make_shared<std::uint64_t[]>(n);
+    for (std::size_t v = 0; v < n; ++v) grown[v] = util::premix(v);
+    cache->table = grown;
+    cache->size = n;
+  }
+  return cache->table;
+}
 
 // The dense engine's per-thread decode target for compressed-graph
 // neighbor lists. One scratch per OS thread (not per simulation):
@@ -195,6 +219,7 @@ void AgentSimulation::init_common(std::uint64_t seed) {
     exposure_sum_.assign(n, 0);
     active_pos_.assign(n, kNoPos);
     infected_pos_.assign(n, kNoPos);
+    premix_ = premix_table(n);
     active_list_.reserve(n);
     infected_list_.reserve(n);
     chunk_transitions_.resize(max_chunks);
@@ -408,7 +433,8 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
     // source. Any other node fails its immunization or blocking draw
     // and has nothing to catch, so the switch below would record no
     // transition for it: the transitions, and their order, are those
-    // of a sweep over every node.
+    // of a sweep over every node. The sweep returns each kept node's
+    // stream key with its id, so the loop below re-draws from it.
     const std::size_t n = num_nodes();
     const std::uint64_t threshold =
         kern::draw_threshold(std::max(p_immunize, p_block));
@@ -420,15 +446,15 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           auto& out = chunk_transitions_[chunk];
           out.clear();
           std::uint32_t candidates[kStepGrain];
-          const std::size_t count =
-              ops_->draw_candidates(step_key, threshold,
-                                    exposure_count_.data(), lo, hi,
-                                    candidates);
+          std::uint64_t keys[kStepGrain];
+          const std::size_t count = ops_->draw_candidates(
+              step_key, threshold, exposure_count_.data(), premix_.get(), lo,
+              hi, candidates, keys);
           for (std::size_t i = 0; i < count; ++i) {
             const graph::NodeId v = candidates[i];
             switch (state_.get(v)) {
               case Compartment::kSusceptible: {
-                util::CounterRng draw(util::hash_mix(step_key, v));
+                util::CounterRng draw(keys[i]);
                 // Truth wins ties: test immunization first.
                 if (draw.bernoulli(p_immunize)) {
                   out.push_back({v, Compartment::kRecovered});
@@ -438,7 +464,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
                 break;
               }
               case Compartment::kInfected: {
-                util::CounterRng draw(util::hash_mix(step_key, v));
+                util::CounterRng draw(keys[i]);
                 if (draw.bernoulli(p_block)) {
                   out.push_back({v, Compartment::kRecovered});
                 }
@@ -467,7 +493,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           out.clear();
           for (std::size_t at = lo; at < hi; ++at) {
             const graph::NodeId v = active_list_[at];
-            util::CounterRng draw(util::hash_mix(step_key, v));
+            util::CounterRng draw(stream_key(step_key, v));
             decide_infection(v, draw.uniform(), out);
           }
         });
@@ -481,7 +507,7 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
             out.clear();
             for (std::size_t at = lo; at < hi; ++at) {
               const graph::NodeId v = infected_list_[at];
-              util::CounterRng draw(util::hash_mix(step_key, v));
+              util::CounterRng draw(stream_key(step_key, v));
               if (draw.bernoulli(p_block)) {
                 out.push_back({v, Compartment::kRecovered});
               }
@@ -518,27 +544,23 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
 
 void AgentSimulation::decide_infection(graph::NodeId v, double u,
                                        std::vector<Transition>& out) const {
-  // δ and m of the header note; H̃ and the grid terms are exact.
-  const auto count = static_cast<double>(exposure_count_[v]);
-  const double sum = static_cast<double>(exposure_sum_[v]) * exposure_unit_;
-  const double delta = count * (0.5 * exposure_unit_) +
-                       gather_error_ * (sum + count * exposure_unit_);
-  const double margin = lambda_over_k(v) * params_.dt * delta + 0x1p-45;
-  const double p = infection_probability(v, sum);
-  // The dense engine infects iff u < p_dense, or without a draw when
-  // p_dense >= 1, and never when its gather is 0 or p_dense <= 0. With
-  // p_dense within the margin of p, u < p − margin is an infection in
-  // every case and u >= p + margin is none; the gather settles the rest.
-  if (u < p - margin) {
-    out.push_back({v, Compartment::kInfected});
-  } else if (u < p + margin) {
-    out.push_back({v, kUndecided});
+  switch (certify_infection(u, exposure_count_[v], exposure_sum_[v],
+                            exposure_unit_, gather_error_, lambda_over_k(v),
+                            params_.dt)) {
+    case InfectionVerdict::kInfect:
+      out.push_back({v, Compartment::kInfected});
+      break;
+    case InfectionVerdict::kUndecided:
+      out.push_back({v, kUndecided});
+      break;
+    case InfectionVerdict::kNone:
+      break;
   }
 }
 
 bool AgentSimulation::infected_by_gather(graph::NodeId v, double p_immunize,
                                          std::uint64_t step_key) {
-  util::CounterRng draw(util::hash_mix(step_key, v));
+  util::CounterRng draw(stream_key(step_key, v));
   // Replays the immunization draw (which failed) so the infection draw
   // below is the one the dense engine compares.
   static_cast<void>(draw.bernoulli(p_immunize));

@@ -49,7 +49,12 @@
 //    ε1(t) > 0 every susceptible can flip, so those steps sweep all
 //    nodes through kern::Ops::draw_candidates, a SIMD pass that keeps
 //    only nodes whose first draw falls under max(p_immunize, p_block)
-//    or that have an infected source; no other node can flip.
+//    or that have an infected source; no other node can flip. The
+//    engine reads util::premix(v) from a table (8 B per node of the
+//    largest graph, one per process), so a stream key
+//    hash_mix(step_key, v) = splitmix64(step_key ^ premix(v)) costs one
+//    splitmix64 round, and the sweep hands each kept node's stream key
+//    back with its id.
 //
 // Both engines draw from the same per-node streams, and the frontier
 // engine decides infections without gathering. With H̃ = A_v·2^-s
@@ -69,6 +74,20 @@
 // trajectories; tests/test_sim_frontier.cpp pins this at 1/2/8 threads,
 // across checkpoint/resume, and against digests of the gather-based
 // engine this one replaced.
+//
+// Most draws are rejections (u ≥ p̃ + m), and those are decided before
+// exp is called. With x = (λ_v/k_v·H̃)·dt rounded exactly as p̃'s
+// exponent, p̃ = fl(1 − fl(exp(−x))): since 1 − e^{−x} ≤ x and glibc's
+// exp is faithfully rounded (error below one ulp, ≤ 2^-53 on
+// [1/e, 1]), and 1 − e is exact for e ≥ 1/2 and within 2^-54 below
+// it, p̃ ≤ x + 2^-51 for every x < 1. Take a draw u ≥
+// fl(fl(x + m) + 2^-48). Draws are below 1, so x + m < 1 and
+// fl(x + m) ≥ x + m − 2^-53; hence fl(x + m) + 2^-48 > x + m + 2^-51
+// ≥ p̃ + m, and by monotone rounding u ≥ fl(p̃ + m): the exp path
+// rejects the draw too. For x ≥ 1 the bound exceeds every draw and
+// the test never fires. certify_infection is that decision as a pure
+// function; tests/test_sim_certified.cpp checks it against the
+// exp-first form on random and boundary inputs.
 #pragma once
 
 #include <array>
@@ -96,6 +115,39 @@ enum class AgentEngine : std::uint8_t {
   kDense = 0,
   kFrontier = 1,
 };
+
+/// A certified infection decision: the dense engine's outcome, or
+/// kUndecided when the draw lies within the margin and only the
+/// fixed-order gather can settle it.
+enum class InfectionVerdict : std::uint8_t { kNone, kInfect, kUndecided };
+
+/// The frontier engine's infection decision (header note) for a
+/// susceptible node with infection draw u, `count` infected exposure
+/// sources and exact exposure sum `sum`·`unit` (unit = 2^-s), given the
+/// gather error factor D·2^-52, λ_v/k_v and dt. Pure: both frontier
+/// step paths decide through it, and it decides exactly as the exp-first
+/// comparison u < p̃ ∓ m does.
+inline InfectionVerdict certify_infection(double u, std::uint32_t count,
+                                          std::int64_t sum, double unit,
+                                          double gather_error,
+                                          double lambda_over_k, double dt) {
+  // δ and m of the header note; H̃ and the grid terms are exact.
+  const auto c = static_cast<double>(count);
+  const double hazard = static_cast<double>(sum) * unit;
+  const double delta = c * (0.5 * unit) + gather_error * (hazard + c * unit);
+  const double margin = lambda_over_k * dt * delta + 0x1p-45;
+  // x rounds as AgentSimulation::infection_probability's exponent does.
+  const double x = lambda_over_k * hazard * dt;
+  if (u >= x + margin + 0x1p-48) return InfectionVerdict::kNone;
+  const double p = 1.0 - std::exp(-x);
+  // The dense engine infects iff u < p_dense, or without a draw when
+  // p_dense >= 1, and never when its gather is 0 or p_dense <= 0. With
+  // p_dense within the margin of p, u < p − margin is an infection in
+  // every case and u >= p + margin is none; the gather settles the rest.
+  if (u < p - margin) return InfectionVerdict::kInfect;
+  if (u < p + margin) return InfectionVerdict::kUndecided;
+  return InfectionVerdict::kNone;
+}
 
 struct AgentParams {
   core::Acceptance lambda = core::Acceptance::linear();
@@ -327,16 +379,22 @@ class AgentSimulation {
   }
 
   /// p = 1 − exp(−(λ_v/k_v)·hazard·dt), the one expression that turns
-  /// an exposure sum into an infection probability.
+  /// an exposure sum into an infection probability (certify_infection
+  /// rounds its exponent the same way).
   double infection_probability(std::size_t v, double hazard) const {
     const double rate = lambda_over_k(v) * hazard;
     return 1.0 - std::exp(-rate * params_.dt);
   }
 
-  /// Decide susceptible v's infection draw u from its exact exposure
-  /// sum (header note) into a chunk buffer: an infection, nothing, or —
-  /// when u lies within the margin — an undecided entry (a transition
-  /// to kSusceptible) for the serial gather to settle.
+  /// Frontier engine: v's per-step stream key, util::hash_mix(step_key,
+  /// v), finished from the premixed table.
+  std::uint64_t stream_key(std::uint64_t step_key, graph::NodeId v) const {
+    return util::splitmix64(step_key ^ premix_[v]);
+  }
+
+  /// Record certify_infection's verdict on susceptible v's infection
+  /// draw u in a chunk buffer: an infection, nothing, or an undecided
+  /// entry (a transition to kSusceptible) for the serial gather.
   void decide_infection(graph::NodeId v, double u,
                         std::vector<Transition>& out) const;
 
@@ -406,6 +464,9 @@ class AgentSimulation {
   std::vector<std::uint32_t> active_pos_;      // node → index, kNoPos if out
   std::vector<graph::NodeId> infected_list_;
   std::vector<std::uint32_t> infected_pos_;
+  // util::premix(v) for every node, shared with every other frontier
+  // simulation in the process (premix_table in agent_sim.cpp).
+  std::shared_ptr<const std::uint64_t[]> premix_;
   // Per-chunk transition buffers (capacity reserved up front: at most
   // one transition per node, so warm steps never allocate).
   std::vector<std::vector<Transition>> chunk_transitions_;

@@ -1,10 +1,29 @@
 #include "sim/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
+#include "io/crc32.hpp"
 #include "util/error.hpp"
 
 namespace rumor::sim {
+
+std::uint32_t state_crc(const AgentSimulation& simulation,
+                        std::uint32_t seed) {
+  std::array<std::byte, kStateCrcBlock> block{};
+  const std::size_t n = simulation.num_nodes();
+  for (std::size_t lo = 0; lo < n; lo += block.size()) {
+    const std::size_t count = std::min(block.size(), n - lo);
+    for (std::size_t i = 0; i < count; ++i) {
+      block[i] = static_cast<std::byte>(
+          simulation.state(static_cast<graph::NodeId>(lo + i)));
+    }
+    seed = io::crc32(std::span(block).first(count), seed);
+  }
+  return seed;
+}
 
 void append_agent_checkpoint(io::ContainerWriter& writer,
                              const AgentSimulation& simulation) {

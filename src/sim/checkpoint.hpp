@@ -19,6 +19,8 @@
 // atomic file.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "io/container.hpp"
@@ -37,6 +39,17 @@ void append_agent_checkpoint(io::ContainerWriter& writer,
 /// or configuration mismatch.
 void restore_agent_checkpoint(const io::ContainerReader& reader,
                               AgentSimulation& simulation);
+
+/// Compartment bytes state_crc hashes per io::crc32 call.
+inline constexpr std::size_t kStateCrcBlock = 4096;
+
+/// CRC32 of the per-node compartment bytes (one byte per node, in node
+/// order, as agent.state stores them), continuing from `seed`: a
+/// resume-invariant fingerprint of the microscopic state. The bytes
+/// pass through one kStateCrcBlock-byte stack block, so it does not
+/// allocate.
+std::uint32_t state_crc(const AgentSimulation& simulation,
+                        std::uint32_t seed = 0);
 
 /// One-call convenience wrappers around a kAgentRunKind container.
 void save_agent_checkpoint(const AgentSimulation& simulation,

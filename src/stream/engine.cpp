@@ -9,6 +9,7 @@
 #include "io/crc32.hpp"
 #include "io/json.hpp"
 #include "io/serde.hpp"
+#include "sim/checkpoint.hpp"
 #include "stream/metrics.hpp"
 #include "util/error.hpp"
 
@@ -312,12 +313,7 @@ void StreamEngine::on_tick() {
 }
 
 std::uint32_t StreamEngine::state_crc() const {
-  std::vector<std::byte> bytes(sim_->num_nodes());
-  for (std::size_t v = 0; v < bytes.size(); ++v) {
-    bytes[v] = static_cast<std::byte>(
-        sim_->state(static_cast<graph::NodeId>(v)));
-  }
-  return io::crc32(bytes);
+  return sim::state_crc(*sim_);
 }
 
 double StreamEngine::realized_objective() const {

@@ -103,7 +103,7 @@ class StreamEngine {
   /// Rolling CRC32 over the serialized decision rows — the trace
   /// fingerprint the replay/resume tests pin.
   std::uint32_t decision_crc() const { return crc_; }
-  /// CRC32 of the per-node compartment bytes (cf. serve/runners.cpp).
+  /// CRC32 of the per-node compartment bytes (sim::state_crc).
   std::uint32_t state_crc() const;
 
   /// Realized objective so far: the running-cost integral accumulated

@@ -15,7 +15,7 @@ namespace rumor::util {
 
 /// splitmix64: used to expand a single 64-bit seed into xoshiro state.
 /// Advances `state` and returns the next output. Inline: the agent
-/// simulator calls it three times per drawn node per step.
+/// simulator calls it for every drawn node on every step.
 inline std::uint64_t splitmix64_next(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;
   std::uint64_t z = state;
@@ -33,13 +33,21 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
   return splitmix64_next(state);
 }
 
+/// The half of hash_mix(a, b) that depends on b alone. A caller that
+/// mixes many keys with the same b values (the agent simulator's
+/// per-node streams, one key per step) can tabulate premix(b) once and
+/// finish each hash with one splitmix64 of a ^ premix(b).
+inline std::uint64_t premix(std::uint64_t b) {
+  return splitmix64(b) + 0x9E3779B97F4A7C15ULL;
+}
+
 /// Hash-combine two words into one well-mixed word. Chain it to derive
 /// counter-based stream keys, e.g. hash_mix(hash_mix(seed, step), chunk)
 /// for the agent simulator's per-chunk RNG streams: the key — and hence
 /// every draw — depends only on (seed, step, chunk), never on which
 /// thread runs the chunk.
 inline std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b) {
-  return splitmix64(a ^ (splitmix64(b) + 0x9E3779B97F4A7C15ULL));
+  return splitmix64(a ^ premix(b));
 }
 
 /// Minimal counter-based stream for per-entity randomness: a splitmix64

@@ -17,6 +17,7 @@
 #include "control/mpc.hpp"
 #include "graph/generators.hpp"
 #include "io/container.hpp"
+#include "io/crc32.hpp"
 #include "sim/agent_sim.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ensemble.hpp"
@@ -115,6 +116,31 @@ TEST(AgentCheckpoint, RestoreRecomputesDerivedCounters) {
   EXPECT_EQ(restored.recovered, census.recovered);
   EXPECT_EQ(other.ever_infected(), ever);
   EXPECT_EQ(other.time(), simulation.time());
+}
+
+TEST(AgentCheckpoint, StateCrcMatchesTheWholeArrayCrcAcrossBlocks) {
+  // sim::state_crc hashes the compartments block by block; the result
+  // must be the CRC of the whole byte array, with and without a seed,
+  // at node counts on both sides of the block boundary.
+  constexpr std::size_t kBlock = sim::kStateCrcBlock;
+  for (const std::size_t n :
+       {kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 7}) {
+    util::Xoshiro256 rng(n);
+    const auto g = graph::barabasi_albert(n, 2, rng);
+    sim::AgentSimulation simulation(g, agent_params(), 11);
+    simulation.seed_random_infections(n / 5);
+    for (int s = 0; s < 5; ++s) simulation.step();
+    const auto states = final_states(simulation);
+    ASSERT_GT(simulation.census().recovered, 0u);
+    std::vector<std::byte> bytes;
+    for (const sim::Compartment c : states) {
+      bytes.push_back(static_cast<std::byte>(c));
+    }
+    EXPECT_EQ(sim::state_crc(simulation), io::crc32(bytes)) << "n=" << n;
+    EXPECT_EQ(sim::state_crc(simulation, 0xDEADBEEFu),
+              io::crc32(bytes, 0xDEADBEEFu))
+        << "n=" << n;
+  }
 }
 
 TEST(AgentCheckpoint, RejectsMismatchedGraphAndDt) {

@@ -433,13 +433,47 @@ TEST(KernSweep, Census2ExactInEveryBackend) {
   }
 }
 
+// `count` elements whose last one ends exactly where a PROT_NONE page
+// begins, so any access past the array faults (SIGSEGV fails the test
+// binary). A zero-length array points at the guard page itself.
+template <typename T = double>
+class GuardedArray {
+ public:
+  explicit GuardedArray(std::size_t count) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = count * sizeof(T);
+    const std::size_t body = (bytes + page - 1) / page * page;
+    mapped_ = body + page;
+    void* base = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<char*>(base);
+    if (mprotect(base_ + body, page, PROT_NONE) != 0) {
+      munmap(base_, mapped_);
+      throw std::runtime_error("mprotect failed");
+    }
+    data_ = reinterpret_cast<T*>(base_ + body - bytes);
+  }
+  ~GuardedArray() { munmap(base_, mapped_); }
+  GuardedArray(const GuardedArray&) = delete;
+  GuardedArray& operator=(const GuardedArray&) = delete;
+
+  T* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t mapped_ = 0;
+  T* data_ = nullptr;
+};
+
 TEST(KernSweep, DrawCandidatesExactInEveryBackend) {
   // Every backend must return exactly the ids a scalar CounterRng loop
-  // selects, in ascending order, and write nothing past its range.
+  // selects, in ascending order, with each id's stream key, and touch
+  // nothing past its range: out and keys end, and exposure and premix
+  // end at hi, against a PROT_NONE page.
   std::vector<const kern::Ops*> backends = simd_backends();
   backends.push_back(&kern::ops(kern::Backend::kScalar));
   util::Xoshiro256 rng(97531);
-  constexpr std::uint32_t kSentinel = 0xFFFFFFFFu;
   for (std::size_t n = 0; n <= 70; ++n) {
     for (const std::size_t lo : {1UL, 3UL, 17UL, 1001UL}) {
       const std::uint64_t thresholds[] = {0, 1, rng() >> 11,
@@ -447,32 +481,38 @@ TEST(KernSweep, DrawCandidatesExactInEveryBackend) {
                                           std::uint64_t{1} << 53};
       for (const std::uint64_t threshold : thresholds) {
         const std::uint64_t key = rng();
-        std::vector<std::uint32_t> exposure(lo + n);
-        for (auto& count : exposure) {
-          count = rng.uniform_index(4) == 0
-                      ? static_cast<std::uint32_t>(1 + rng.uniform_index(9))
-                      : 0u;
+        const GuardedArray<std::uint32_t> exposure(lo + n);
+        const GuardedArray<std::uint64_t> premix(lo + n);
+        for (std::size_t v = 0; v < lo + n; ++v) {
+          exposure.data()[v] =
+              rng.uniform_index(4) == 0
+                  ? static_cast<std::uint32_t>(1 + rng.uniform_index(9))
+                  : 0u;
+          premix.data()[v] = util::premix(v);
         }
         std::vector<std::uint32_t> want;
         for (std::size_t v = lo; v < lo + n; ++v) {
           util::CounterRng draw(util::hash_mix(key, v));
-          if ((draw.next() >> 11) < threshold || exposure[v] != 0) {
+          if ((draw.next() >> 11) < threshold || exposure.data()[v] != 0) {
             want.push_back(static_cast<std::uint32_t>(v));
           }
         }
         for (const kern::Ops* ops : backends) {
-          std::vector<std::uint32_t> got(n + 1, kSentinel);
+          const GuardedArray<std::uint32_t> got(n);
+          const GuardedArray<std::uint64_t> keys(n);
           const std::size_t count = ops->draw_candidates(
-              key, threshold, exposure.data(), lo, lo + n, got.data());
+              key, threshold, exposure.data(), premix.data(), lo, lo + n,
+              got.data(), keys.data());
           ASSERT_EQ(count, want.size())
               << kern::to_string(ops->backend) << " n=" << n << " lo=" << lo
               << " threshold=" << threshold;
           for (std::size_t i = 0; i < count; ++i) {
-            ASSERT_EQ(got[i], want[i])
+            ASSERT_EQ(got.data()[i], want[i])
                 << kern::to_string(ops->backend) << " i=" << i << " n=" << n;
+            ASSERT_EQ(keys.data()[i], util::hash_mix(key, want[i]))
+                << kern::to_string(ops->backend) << " key i=" << i
+                << " n=" << n;
           }
-          ASSERT_EQ(got[n], kSentinel)
-              << kern::to_string(ops->backend) << " wrote past n=" << n;
         }
       }
     }
@@ -889,38 +929,6 @@ TEST(KernBatch, LaneMatchesSequentialScalarKernels) {
   }
 }
 
-// `count` doubles whose last one ends exactly where a PROT_NONE page
-// begins, so any access past the array faults (SIGSEGV fails the test
-// binary). A zero-length array points at the guard page itself.
-class GuardedArray {
- public:
-  explicit GuardedArray(std::size_t count) {
-    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    const std::size_t bytes = count * sizeof(double);
-    const std::size_t body = (bytes + page - 1) / page * page;
-    mapped_ = body + page;
-    void* base = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
-    base_ = static_cast<char*>(base);
-    if (mprotect(base_ + body, page, PROT_NONE) != 0) {
-      munmap(base_, mapped_);
-      throw std::runtime_error("mprotect failed");
-    }
-    data_ = reinterpret_cast<double*>(base_ + body - bytes);
-  }
-  ~GuardedArray() { munmap(base_, mapped_); }
-  GuardedArray(const GuardedArray&) = delete;
-  GuardedArray& operator=(const GuardedArray&) = delete;
-
-  double* data() const { return data_; }
-
- private:
-  char* base_ = nullptr;
-  std::size_t mapped_ = 0;
-  double* data_ = nullptr;
-};
-
 TEST(KernBatch, NoAccessPastTheLastLane) {
   const auto& scalar = kern::ops(kern::Backend::kScalar);
   std::vector<const kern::Ops*> backends = {&scalar};
@@ -933,9 +941,9 @@ TEST(KernBatch, NoAccessPastTheLastLane) {
           const BatchData d(n, lanes, rng);
           const BatchOut want(*ops, d, n, lanes, diagonal);
 
-          std::vector<std::unique_ptr<GuardedArray>> arrays;
+          std::vector<std::unique_ptr<GuardedArray<>>> arrays;
           const auto guarded = [&](std::size_t count) {
-            arrays.push_back(std::make_unique<GuardedArray>(count));
+            arrays.push_back(std::make_unique<GuardedArray<>>(count));
             return arrays.back()->data();
           };
           BatchIo io = batch_inputs(d, [&](const std::vector<double>& v) {
@@ -1001,7 +1009,9 @@ TEST(KernDispatch, ZeroLengthIsValidEverywhere) {
     ops.census2(nullptr, 0, c);
     EXPECT_EQ(c[0], 0u);
     EXPECT_EQ(c[1], 0u);
-    EXPECT_EQ(ops.draw_candidates(1, 0, nullptr, 5, 5, nullptr), 0u);
+    EXPECT_EQ(
+        ops.draw_candidates(1, 0, nullptr, nullptr, 5, 5, nullptr, nullptr),
+        0u);
   }
 }
 

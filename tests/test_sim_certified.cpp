@@ -9,6 +9,8 @@
 // case says it must be.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -251,6 +253,169 @@ TEST(SimCertified, DirectedGraphsUseInNeighborSums) {
   EXPECT_EQ(
       frontier_fallbacks_matching_dense(random, spread, {0, 1, 2, 3}, 60, 5),
       0u);
+}
+
+/// The exp-first decision certify_infection replaced, verbatim but for
+/// member lookups turned into parameters: p̃ first, then the margin
+/// tests.
+InfectionVerdict exp_first_decision(double u, std::uint32_t exposure_count,
+                                    std::int64_t exposure_sum,
+                                    double exposure_unit, double gather_error,
+                                    double lambda_over_k, double dt) {
+  // δ and m of the header note; H̃ and the grid terms are exact.
+  const auto count = static_cast<double>(exposure_count);
+  const double sum = static_cast<double>(exposure_sum) * exposure_unit;
+  const double delta = count * (0.5 * exposure_unit) +
+                       gather_error * (sum + count * exposure_unit);
+  const double margin = lambda_over_k * dt * delta + 0x1p-45;
+  const double rate = lambda_over_k * sum;
+  const double p = 1.0 - std::exp(-rate * dt);
+  if (u < p - margin) {
+    return InfectionVerdict::kInfect;
+  } else if (u < p + margin) {
+    return InfectionVerdict::kUndecided;
+  }
+  return InfectionVerdict::kNone;
+}
+
+/// One certified decision's inputs, as the frontier engine passes them.
+struct DecisionInput {
+  double u = 0.0;
+  std::uint32_t count = 1;
+  std::int64_t sum = 0;
+  double unit = 1.0;
+  double gather_error = 0.0;
+  double lambda_over_k = 1.0;
+  double dt = 0.1;
+};
+
+/// A draw on CounterRng::uniform's 2^-53 grid, clamped into [0, 1).
+double grid_draw(std::int64_t k) {
+  constexpr std::int64_t kTop = (std::int64_t{1} << 53) - 1;
+  return static_cast<double>(std::clamp<std::int64_t>(k, 0, kTop)) * 0x1p-53;
+}
+
+/// The draws within four grid steps of x + m + 2^-48 (the exp-free
+/// rejection bound) and of p̃ ∓ m (the exp-first bounds).
+std::vector<double> boundary_draws(const DecisionInput& in) {
+  const auto c = static_cast<double>(in.count);
+  const double hazard = static_cast<double>(in.sum) * in.unit;
+  const double delta =
+      c * (0.5 * in.unit) + in.gather_error * (hazard + c * in.unit);
+  const double margin = in.lambda_over_k * in.dt * delta + 0x1p-45;
+  const double x = in.lambda_over_k * hazard * in.dt;
+  const double p = 1.0 - std::exp(-x);
+  std::vector<double> draws;
+  for (const double edge : {x + margin + 0x1p-48, p - margin, p + margin}) {
+    if (!(edge > -1.0 && edge < 2.0)) continue;
+    const auto k = static_cast<std::int64_t>(std::floor(edge * 0x1p53));
+    for (std::int64_t step = -4; step <= 4; ++step) {
+      draws.push_back(grid_draw(k + step));
+    }
+  }
+  return draws;
+}
+
+TEST(SimCertified, VerdictMatchesTheExpFirstDecision) {
+  // certify_infection rejects most draws before calling exp; every
+  // verdict must still be the exp-first one, on seeded random inputs
+  // and at the boundaries where the two could part.
+  std::uint64_t mismatches = 0;
+  std::uint64_t checked = 0;
+  std::array<std::uint64_t, 3> verdicts{};
+  const auto check = [&](const DecisionInput& in) {
+    const InfectionVerdict want =
+        exp_first_decision(in.u, in.count, in.sum, in.unit, in.gather_error,
+                           in.lambda_over_k, in.dt);
+    const InfectionVerdict got =
+        certify_infection(in.u, in.count, in.sum, in.unit, in.gather_error,
+                          in.lambda_over_k, in.dt);
+    ++checked;
+    ++verdicts[static_cast<std::size_t>(want)];
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "u=" << in.u << " count=" << in.count
+                    << " sum=" << in.sum << " unit=" << in.unit
+                    << " gather_error=" << in.gather_error
+                    << " lambda_over_k=" << in.lambda_over_k
+                    << " dt=" << in.dt << " want "
+                    << static_cast<int>(want) << " got "
+                    << static_cast<int>(got);
+    }
+  };
+  constexpr std::int64_t kSumCap = std::int64_t{1} << 53;
+  util::Xoshiro256 rng(20260418);
+  const auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  // Random engine states: a fixed-point scale, a largest source count D
+  // and a count up to it, a sum up to the cap, and λ_v/k_v and dt put x
+  // anywhere from far below to far above the draws. Each state is
+  // checked at a uniform draw and at its boundary draws.
+  for (int q = 0; q < 200000; ++q) {
+    DecisionInput in;
+    in.unit = std::ldexp(1.0, -static_cast<int>(rng.uniform_index(90)));
+    const auto max_sources =
+        static_cast<std::uint32_t>(1 + rng.uniform_index(1u << 20));
+    in.gather_error = static_cast<double>(max_sources) * 0x1p-52;
+    in.count = static_cast<std::uint32_t>(1 + rng.uniform_index(max_sources));
+    in.sum = static_cast<std::int64_t>(
+        rng.uniform_index(static_cast<std::uint64_t>(kSumCap) + 1) >>
+        rng.uniform_index(54));
+    in.lambda_over_k = log_uniform(1e-6, 1e3);
+    in.dt = log_uniform(1e-4, 10.0);
+    const double hazard = static_cast<double>(in.sum) * in.unit;
+    if (q % 2 == 0 && hazard > 0.0) {
+      // Half the states aim x at (0, 3), where draws and p̃ meet.
+      in.lambda_over_k = log_uniform(1e-3, 3.0) / (hazard * in.dt);
+    }
+    in.u = rng.uniform();
+    check(in);
+    for (const double u : boundary_draws(in)) {
+      in.u = u;
+      check(in);
+    }
+  }
+  // The x values named in the header note's argument — 0, the tiny and
+  // the large, ln 2 (p̃ = 1/2) and 1 − 2^-20 just below the bound's
+  // limit — each reached at a sum on the grid, for counts 1 … D and
+  // sums up to the cap.
+  const double xs[] = {0.0,  0x1p-60,          0x1p-30,         1e-3,
+                       0.5,  std::log(2.0),    1.0 - 0x1p-20,   2.0};
+  for (const double x : xs) {
+    for (int q = 0; q < 2000; ++q) {
+      DecisionInput in;
+      const std::uint32_t max_sources = q % 3 == 0 ? 1u : 1u << 20;
+      in.gather_error = static_cast<double>(max_sources) * 0x1p-52;
+      in.count = q % 2 == 0 ? max_sources
+                            : static_cast<std::uint32_t>(
+                                  1 + rng.uniform_index(max_sources));
+      in.dt = log_uniform(1e-3, 1.0);
+      if (q % 4 == 0) {
+        // Sums at the cap: H̃ = (2^53 − 1)·unit, with λ_v/k_v solved
+        // for x.
+        in.sum = kSumCap - 1;
+        in.unit = 0x1p-53;
+        const double hazard = static_cast<double>(in.sum) * in.unit;
+        in.lambda_over_k = x > 0.0 ? x / (hazard * in.dt) : 0.0;
+      } else {
+        in.unit =
+            std::ldexp(1.0, -static_cast<int>(40 + rng.uniform_index(40)));
+        in.lambda_over_k = log_uniform(1e-2, 1e2);
+        // The grid sum nearest x, held below the cap before rounding.
+        const double grid_sum = x / (in.lambda_over_k * in.dt) / in.unit;
+        in.sum = std::llround(
+            std::min(grid_sum, static_cast<double>(kSumCap - 1)));
+      }
+      for (const double u : boundary_draws(in)) {
+        in.u = u;
+        check(in);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " decisions";
+  EXPECT_GE(checked, 1000000u);
+  // Every verdict occurs, so the comparison covers all three.
+  for (const std::uint64_t seen : verdicts) EXPECT_GT(seen, 1000u);
 }
 
 TEST(SimCertified, FallbacksAreCountedPerStepInTheRegistry) {
