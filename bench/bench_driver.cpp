@@ -737,41 +737,54 @@ int run_kernels_suite(const std::string& out_path,
 
 // ---- agent-simulation suite ----------------------------------------
 
-/// Time `measured` warm steps of one engine on `g`. Both engines of a
-/// pair run the same seed and params, and the engines are bit-identical
-/// by contract, so the pair times the exact same trajectory.
-CaseResult run_agent_case(const char* name, const graph::Graph& g,
-                          sim::AgentEngine engine, std::size_t seeds,
-                          int warm, int measured) {
+/// The low-prevalence regime the frontier targets: slow spread,
+/// blocking only (ε1 = 0, so frontier steps are sparse).
+sim::AgentParams sparse_params(sim::AgentEngine engine) {
   sim::AgentParams params;
-  params.lambda = core::Acceptance::linear(0.1);  // slow spread: the
-  params.omega = core::Infectivity::saturating(0.5, 0.5);  // low-
-  params.epsilon2 = 0.1;  // prevalence regime the frontier targets
+  params.lambda = core::Acceptance::linear(0.1);
+  params.omega = core::Infectivity::saturating(0.5, 0.5);
+  params.epsilon2 = 0.1;
   params.dt = 0.1;
   params.engine = engine;
-  sim::AgentSimulation simulation(g, params, /*seed=*/12345);
-  simulation.seed_random_infections(seeds);
-  for (int s = 0; s < warm; ++s) simulation.step();
+  return params;
+}
 
-  const auto edges_before = simulation.edges_scanned();
-  const auto allocs_before = util::allocation_count();
-  const auto start = Clock::now();
-  for (int s = 0; s < measured; ++s) simulation.step();
-  const double elapsed_ms = ms_since(start);
-  const auto allocs = util::allocation_count() - allocs_before;
-  const auto edges = simulation.edges_scanned() - edges_before;
+/// Time `measured` warm steps of `runs` simulations on `g` (seeds
+/// 12345, 12346, ...). Both engines of a pair run the same seeds and
+/// params, and the engines are bit-identical by contract, so the pair
+/// times the exact same trajectories.
+CaseResult run_agent_case(const char* name, const graph::Graph& g,
+                          const sim::AgentParams& params, std::size_t seeds,
+                          int warm, int measured, int runs = 1) {
+  double elapsed_ms = 0.0;
+  std::uint64_t edges = 0;
+  std::uint64_t allocs = 0;
+  double prevalence = 0.0;
+  for (int run = 0; run < runs; ++run) {
+    sim::AgentSimulation simulation(
+        g, params, /*seed=*/12345 + static_cast<std::uint64_t>(run));
+    simulation.seed_random_infections(seeds);
+    for (int s = 0; s < warm; ++s) simulation.step();
 
+    const auto edges_before = simulation.edges_scanned();
+    const auto allocs_before = util::allocation_count();
+    const auto start = Clock::now();
+    for (int s = 0; s < measured; ++s) simulation.step();
+    elapsed_ms += ms_since(start);
+    allocs += util::allocation_count() - allocs_before;
+    edges += simulation.edges_scanned() - edges_before;
+    prevalence = static_cast<double>(simulation.census().infected) /
+                 static_cast<double>(g.num_nodes());
+  }
+
+  const auto steps = static_cast<double>(measured) * runs;
   CaseResult r;
   r.name = name;
   r.wall_ms = elapsed_ms;
-  r.steps_per_sec =
-      static_cast<double>(measured) / (elapsed_ms * 1e-3);
-  r.edges_per_step =
-      static_cast<double>(edges) / static_cast<double>(measured);
-  r.allocs_per_step =
-      static_cast<double>(allocs) / static_cast<double>(measured);
-  r.prevalence = static_cast<double>(simulation.census().infected) /
-                 static_cast<double>(g.num_nodes());
+  r.steps_per_sec = steps / (elapsed_ms * 1e-3);
+  r.edges_per_step = static_cast<double>(edges) / steps;
+  r.allocs_per_step = static_cast<double>(allocs) / steps;
+  r.prevalence = prevalence;
   return r;
 }
 
@@ -785,25 +798,36 @@ int run_agents_suite(const std::string& out_path,
     util::Xoshiro256 rng(101);
     const auto digg = graph::barabasi_albert(71367, 12, rng);
     cases.push_back(run_agent_case("agents_dense_digg", digg,
-                                   sim::AgentEngine::kDense,
+                                   sparse_params(sim::AgentEngine::kDense),
                                    /*seeds=*/100, /*warm=*/2,
                                    /*measured=*/10));
     cases.push_back(run_agent_case("agents_frontier_digg", digg,
-                                   sim::AgentEngine::kFrontier,
+                                   sparse_params(sim::AgentEngine::kFrontier),
                                    /*seeds=*/100, /*warm=*/2,
                                    /*measured=*/100));
     cases.back().speedup_vs_dense =
         cases.back().steps_per_sec / cases[cases.size() - 2].steps_per_sec;
+    // A rumord simulate job as perfbench issues them: ε1 > 0, so every
+    // step sweeps all nodes through the draw sweep and the candidate
+    // screen, at the paper's linear acceptance and 20 seeds, over the
+    // 48 steps of a t_end = 5 job.
+    sim::AgentParams job;
+    job.epsilon1 = 0.06;
+    job.epsilon2 = 0.06;
+    job.dt = 0.1;
+    cases.push_back(run_agent_case("agents_frontier_digg_eps1", digg, job,
+                                   /*seeds=*/20, /*warm=*/2,
+                                   /*measured=*/48, /*runs=*/8));
   }
   {
     util::Xoshiro256 rng(202);
     const auto ba1m = graph::barabasi_albert(1'000'000, 3, rng);
     cases.push_back(run_agent_case("agents_dense_ba1m", ba1m,
-                                   sim::AgentEngine::kDense,
+                                   sparse_params(sim::AgentEngine::kDense),
                                    /*seeds=*/300, /*warm=*/1,
                                    /*measured=*/5));
     cases.push_back(run_agent_case("agents_frontier_ba1m", ba1m,
-                                   sim::AgentEngine::kFrontier,
+                                   sparse_params(sim::AgentEngine::kFrontier),
                                    /*seeds=*/300, /*warm=*/1,
                                    /*measured=*/100));
     cases.back().speedup_vs_dense =
@@ -885,19 +909,6 @@ int run_agents_suite(const std::string& out_path,
 }
 
 // ---- graph-format suite ---------------------------------------------
-
-/// Shared agent parameters for the packed-vs-compressed pairs: the
-/// same sparse regime the agents suite uses, so steps/sec numbers are
-/// comparable across suites.
-sim::AgentParams graphs_params() {
-  sim::AgentParams params;
-  params.lambda = core::Acceptance::linear(0.1);
-  params.omega = core::Infectivity::saturating(0.5, 0.5);
-  params.epsilon2 = 0.1;
-  params.dt = 0.1;
-  params.engine = sim::AgentEngine::kFrontier;
-  return params;
-}
 
 /// Fingerprint of a finished run — what the bit-identity gate compares
 /// between the packed and compressed steppings of the same trajectory.
@@ -1006,16 +1017,19 @@ bool run_graphs_scale(std::vector<CaseResult>& cases, const char* tag,
     cases.push_back(decode);
   }
 
+  // The agents suite's sparse regime, so steps/sec numbers are
+  // comparable across suites.
+  const sim::AgentParams params = sparse_params(sim::AgentEngine::kFrontier);
   RunDigest packed_digest, compressed_digest;
   {
-    sim::AgentSimulation simulation(canonical, graphs_params(), 12345);
+    sim::AgentSimulation simulation(canonical, params, 12345);
     cases.push_back(time_graph_steps(
         std::string("graphs_step_packed_") + tag, simulation,
         canonical.num_nodes(), seeds, warm, measured, &packed_digest));
   }
   {
     if (resident_budget > 0) zg->set_resident_budget(resident_budget);
-    sim::AgentSimulation simulation(*zg, graphs_params(), 12345);
+    sim::AgentSimulation simulation(*zg, params, 12345);
     cases.push_back(time_graph_steps(
         std::string("graphs_step_compressed_") + tag, simulation,
         canonical.num_nodes(), seeds, warm, measured, &compressed_digest));

@@ -154,13 +154,25 @@ namespace {
 
 using namespace rumor;
 
+/// The value of --key: the whole text must read as a finite number, so
+/// "abc", "5x" or "inf" are errors instead of a silent 0.
+double parse_number(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    throw util::InvalidArgument("--" + key + " expects a finite number, got '" +
+                                text + "'");
+  }
+  return value;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
 
   double number(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
+    return it == options.end() ? fallback : parse_number(key, it->second);
   }
   std::optional<std::string> text(const std::string& key) const {
     const auto it = options.find(key);
@@ -397,9 +409,9 @@ int cmd_simulate_agents(const Args& args) {
 
   auto start = static_cast<std::size_t>(simulation.step_count());
   std::size_t stop = total_steps;
-  if (const auto cap = args.text("max-steps")) {
+  if (args.text("max-steps")) {
     stop = std::min(stop, start + static_cast<std::size_t>(
-                              std::atof(cap->c_str())));
+                              args.number("max-steps", 0.0)));
   }
   for (std::size_t step = start; step < stop; ++step) {
     simulation.step();
@@ -982,9 +994,9 @@ int main(int argc, char** argv) {
                            "debug|info|warn|error|off");
       rumor::util::set_log_level(it->second);
     }
-    if (const auto threads = args.text("threads")) {
+    if (args.text("threads")) {
       rumor::util::set_num_threads(
-          static_cast<std::size_t>(std::atof(threads->c_str())));
+          static_cast<std::size_t>(args.number("threads", 0.0)));
     }
     if (args.text("trace-out")) rumor::obs::set_trace_enabled(true);
     std::optional<rumor::obs::Heartbeat> heartbeat;

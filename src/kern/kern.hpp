@@ -3,13 +3,14 @@
 // Every engine's inner loops — the fused SIR/costate RHS kernels, the
 // agent-sim hazard gather, the RK4 stage combines, trajectory
 // interpolation, the objective/ensemble reductions, the packed 2-bit
-// compartment census, and the agent step's per-node draw sweep —
-// funnel through the function-pointer table returned by ops(). The
-// table is resolved exactly once per process: the best backend the CPU
-// supports (CPUID via __builtin_cpu_supports) unless the RUMOR_KERNEL
-// environment variable forces one of scalar|avx2|avx512. A forced
-// backend the binary was not compiled with, or the CPU cannot execute,
-// raises util::InvalidArgument with a message naming the valid choices.
+// compartment census, and the agent step's per-node draw sweep and
+// candidate screen — funnel through the function-pointer table returned
+// by ops(). The table is resolved exactly once per process: the best
+// backend the CPU supports (CPUID via __builtin_cpu_supports) unless the
+// RUMOR_KERNEL environment variable forces one of scalar|avx2|avx512. A
+// forced backend the binary was not compiled with, or the CPU cannot
+// execute, raises util::InvalidArgument with a message naming the valid
+// choices.
 //
 // Determinism policy (tested by tests/test_kern.cpp, documented in
 // docs/performance.md):
@@ -17,11 +18,11 @@
 //     arithmetic bit for bit — RUMOR_KERNEL=scalar is the reference.
 //   * Elementwise kernels (lerp, axpy_out, combine2, rk4_combine,
 //     accumulate, accumulate_sq, the elementwise half of sir_rhs /
-//     costate_rhs) and the integer kernels (census, varint decode,
-//     draw sweep) are bit-identical across ALL backends: each output
-//     element is the same IEEE (or integer) operation sequence per
-//     lane, compiled with -ffp-contract=off so no backend fuses a
-//     multiply-add the others do not.
+//     costate_rhs), the integer kernels (census, varint decode, draw
+//     sweep) and the candidate screen are bit-identical across ALL
+//     backends: each output element is the same IEEE (or integer)
+//     operation sequence per lane, compiled with -ffp-contract=off so
+//     no backend fuses a multiply-add the others do not.
 //   * Reductions (dot, sum, gather_sum, trapezoid, knot4, and the Θ /
 //     coupling sums inside the fused RHS kernels) reassociate under
 //     SIMD: lane-parallel partial sums differ from the scalar
@@ -42,10 +43,11 @@
 // kernels_avx2.cpp and kernels_avx512.cpp each define their traits,
 // instantiate the templates under their own -m flags, and keep as their
 // own code only what their instructions differ in: census2's popcount,
-// the draw_candidates sweep, and AVX-512's forwarding of the small-n
-// model kernels to the AVX2 table. Every body in those internal headers
-// has internal linkage, so the linker can never substitute one ISA TU's
-// compiled copy for another's.
+// the draw_candidates sweep, the screen_candidates gathers and
+// compaction, and AVX-512's forwarding of the small-n model kernels to
+// the AVX2 table. Every body in those internal headers has internal
+// linkage, so the linker can never substitute one ISA TU's compiled copy
+// for another's.
 //
 // This seam is deliberately C-shaped (raw pointers + lengths, no
 // templates in the ABI) so a future CUDA path can sit behind the same
@@ -64,6 +66,51 @@ enum class Backend { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// "scalar" | "avx2" | "avx512" — the tokens RUMOR_KERNEL accepts.
 const char* to_string(Backend backend);
+
+/// The agent simulator's certified infection bound (sim/agent_sim.hpp
+/// header note) for a susceptible node with `count` infected exposure
+/// sources and exact exposure sum sum·unit: x = (λ_v/k_v·H̃)·dt, rounded
+/// as the infection probability's exponent, and the margin m around
+/// p̃ = 1 − exp(−x). The one definition of both: sim::certify_infection
+/// and the scalar screen_candidates call it, and simd_impl.hpp's
+/// rejection_bound repeats its operations in this order for both SIMD
+/// screens (kern and sim compile without floating-point contraction),
+/// so every backend rounds them alike.
+struct InfectionBound {
+  double x;
+  double margin;
+};
+
+inline InfectionBound infection_bound(std::uint32_t count, std::int64_t sum,
+                                      double unit, double gather_error,
+                                      double lambda_over_k, double dt) {
+  // δ of the header note; H̃ and the grid terms are exact.
+  const auto c = static_cast<double>(count);
+  const double hazard = static_cast<double>(sum) * unit;
+  const double delta = c * (0.5 * unit) + gather_error * (hazard + c * unit);
+  return {lambda_over_k * hazard * dt, lambda_over_k * dt * delta + 0x1p-45};
+}
+
+/// fl(fl(x + m) + 2^-48): an infection draw u at or above it can record
+/// no infection, so it is rejected before exp is called.
+inline double rejection_bound(const InfectionBound& bound) {
+  return bound.x + bound.margin + 0x1p-48;
+}
+
+/// Inputs of Ops::screen_candidates: the frontier engine's step-start
+/// state (read only) and the step's constants.
+struct ScreenInputs {
+  const std::uint64_t* words;           ///< 2-bit compartments, 32 per word
+  const std::uint32_t* exposure_count;  ///< infected exposure sources
+  const std::int64_t* exposure_sum;     ///< fixed-point exposure sums
+  const std::uint32_t* group_of;        ///< node → degree group
+  const double* lambda_over_k;          ///< λ(k)/k per group
+  double unit;                          ///< 2^-s of the fixed point
+  double gather_error;                  ///< D·2^-52
+  double dt;
+  std::uint64_t threshold_immunize;  ///< draw_threshold(p_immunize)
+  std::uint64_t threshold_block;     ///< draw_threshold(p_block)
+};
 
 /// Kernel function table. All pointers are non-null in every published
 /// table; n = 0 is valid for every kernel (reductions return 0).
@@ -187,6 +234,24 @@ struct Ops {
                                  const std::uint64_t* premix,
                                  std::size_t lo, std::size_t hi,
                                  std::uint32_t* out, std::uint64_t* keys);
+  /// The ε1 > 0 step's candidate screen. Compacts the `count` candidates
+  /// ids[i] with stream keys keys[i] in place, in order, down to those
+  /// whose per-candidate decision can record a transition, and returns
+  /// how many remain. With d1 the key's first CounterRng draw >> 11 and
+  /// u2 its second draw as uniform(), a candidate is kept when it is
+  ///   R: never;
+  ///   I: d1 < threshold_block;
+  ///   S: d1 < threshold_immunize, or its exposure count is non-zero
+  ///      and !(u2 >= rejection_bound(infection_bound(...))) —
+  ///      certify_infection's exp-free rejection, bit for bit.
+  /// Thresholds 0 and 2^53 are bernoulli's p <= 0 and p >= 1; the S
+  /// rule takes u2 as the infection draw, so it assumes
+  /// threshold_immunize > 0, as on every ε1 > 0 step. Every id must be
+  /// a node of the input tables, which are read at those ids only.
+  /// Slots past the returned count hold scratch. Bit-exact across
+  /// backends.
+  std::size_t (*screen_candidates)(const ScreenInputs& in, std::uint32_t* ids,
+                                   std::uint64_t* keys, std::size_t count);
 
   // --- batched lane-per-problem kernels ------------------------------
   // `lanes` independent problems interleaved SoA: a[j*lanes + l] is

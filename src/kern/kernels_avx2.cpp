@@ -2,8 +2,9 @@
 // and -ffp-contract=off. The floating-point kernels are the shared
 // bodies of simd_impl.hpp instantiated over the Avx2 traits below; this
 // TU holds only what its instructions make its own: the traits, the
-// nibble-lookup census, and the draw sweep, whose splitmix64 needs a
-// 64-bit multiply AVX2 does not have.
+// nibble-lookup census, and the draw sweep and candidate screen, whose
+// splitmix64 needs a 64-bit multiply AVX2 does not have and whose
+// int64 → double conversion it emulates.
 //
 // Nothing in this TU runs before dispatch.cpp has confirmed AVX2 via
 // CPUID, and the table below is plain data, so linking this TU into a
@@ -163,6 +164,104 @@ std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
                                          hi, out + count, keys + count);
 }
 
+/// u64 lanes below 2^53 to double, exactly: hi·2^32 − 2^52 (exact)
+/// plus 2^52 + lo rounds once, and the sum is representable.
+inline __m256d u64_to_double(__m256i x) {
+  const __m256i hi = _mm256_or_si256(
+      _mm256_srli_epi64(x, 32), _mm256_castpd_si256(_mm256_set1_pd(0x1p84)));
+  const __m256i lo = _mm256_blend_epi32(
+      x, _mm256_castpd_si256(_mm256_set1_pd(0x1p52)), 0xAA);
+  return (_mm256_castsi256_pd(hi) - _mm256_set1_pd(0x1p84 + 0x1p52)) +
+         _mm256_castsi256_pd(lo);
+}
+
+/// Gather of four u32 table entries at zero-extended 64-bit indices.
+inline __m128i gather_u32(const std::uint32_t* table, __m256i index) {
+  return _mm256_mask_i64gather_epi32(
+      _mm_setzero_si128(), reinterpret_cast<const int*>(table), index,
+      _mm_set1_epi32(-1), 4);
+}
+
+std::size_t screen_candidates(const ScreenInputs& in, std::uint32_t* ids,
+                              std::uint64_t* keys, std::size_t count) {
+  // Draws are < 2^53 and thresholds <= 2^53, so signed compares are exact.
+  const __m256i threshold_immunize =
+      _mm256_set1_epi64x(static_cast<long long>(in.threshold_immunize));
+  const __m256i threshold_block =
+      _mm256_set1_epi64x(static_cast<long long>(in.threshold_block));
+  const __m256i golden =
+      _mm256_set1_epi64x(static_cast<long long>(0x9E3779B97F4A7C15ULL));
+  const __m256i all = _mm256_set1_epi64x(-1);
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    // Node ids are u32: zero-extended 64-bit gather indices. Every id is
+    // a node, so the gathers read every lane; the masks below pick the
+    // lanes whose values matter.
+    const __m256i v = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i)));
+    const __m256i key =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
+    const __m256i word = _mm256_mask_i64gather_epi64(
+        _mm256_setzero_si256(), reinterpret_cast<const long long*>(in.words),
+        _mm256_srli_epi64(v, 5), all, 8);
+    const __m256i compartment = _mm256_and_si256(
+        _mm256_srlv_epi64(word, _mm256_slli_epi64(
+                                    _mm256_and_si256(
+                                        v, _mm256_set1_epi64x(31)),
+                                    1)),
+        _mm256_set1_epi64x(3));
+    const __m256i susceptible =
+        _mm256_cmpeq_epi64(compartment, _mm256_setzero_si256());
+    const __m256i infected =
+        _mm256_cmpeq_epi64(compartment, _mm256_set1_epi64x(1));
+    // CounterRng(key): the first draw is splitmix64(key), the second
+    // splitmix64(key + golden).
+    const __m256i first = _mm256_srli_epi64(splitmix64(key), 11);
+    __m256i keep = _mm256_or_si256(
+        _mm256_and_si256(infected,
+                         _mm256_cmpgt_epi64(threshold_block, first)),
+        _mm256_and_si256(susceptible,
+                         _mm256_cmpgt_epi64(threshold_immunize, first)));
+    const __m256i sources = _mm256_cvtepu32_epi64(
+        gather_u32(in.exposure_count, v));
+    const __m256i exposed = _mm256_andnot_si256(
+        _mm256_or_si256(keep, _mm256_cmpeq_epi64(sources,
+                                                 _mm256_setzero_si256())),
+        susceptible);
+    const __m256i sum = _mm256_mask_i64gather_epi64(
+        _mm256_setzero_si256(),
+        reinterpret_cast<const long long*>(in.exposure_sum), v, all, 8);
+    const __m256d lambda_over_k = _mm256_mask_i64gather_pd(
+        V::zero(), in.lambda_over_k,
+        _mm256_cvtepu32_epi64(gather_u32(in.group_of, v)),
+        _mm256_castsi256_pd(all), 8);
+    const __m256d bound = simd::rejection_bound<V>(
+        u64_to_double(sources), u64_to_double(sum), lambda_over_k, in);
+    const __m256d second =
+        u64_to_double(_mm256_srli_epi64(
+            splitmix64(_mm256_add_epi64(key, golden)), 11)) *
+        V::set1(0x1.0p-53);
+    keep = _mm256_or_si256(
+        keep, _mm256_and_si256(exposed,
+                               _mm256_castpd_si256(_mm256_cmp_pd(
+                                   second, bound, _CMP_NGE_UQ))));
+    const auto mask = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(keep)));
+    alignas(32) std::uint64_t lane_ids[kLanes];
+    alignas(32) std::uint64_t lane_keys[kLanes];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ids), v);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_keys), key);
+    // Branch-free append, in place: kept <= i + lane, a slot already read.
+    for (unsigned lane = 0; lane < kLanes; ++lane) {
+      ids[kept] = static_cast<std::uint32_t>(lane_ids[lane]);
+      keys[kept] = lane_keys[lane];
+      kept += (mask >> lane) & 1u;
+    }
+  }
+  return scalar::screen_candidates(in, ids, keys, i, count, kept);
+}
+
 }  // namespace
 
 const Ops& avx2_ops() {
@@ -186,6 +285,7 @@ const Ops& avx2_ops() {
       census2,
       simd::varint_decode_deltas_avx2,
       draw_candidates,
+      screen_candidates,
       simd::batch_dot<V>,
       simd::batch_trapezoid<V>,
       simd::batch_knot4<V>,

@@ -4,7 +4,8 @@
 // instantiated over the Avx512 traits below, under the same contract as
 // the AVX2 backend; this TU holds only what its instructions make its
 // own: the traits, the forwarding of small model kernels to AVX2, the
-// 512-bit census, and the draw sweep (vpmullq, vpcompressd/q).
+// 512-bit census, and the draw sweep and candidate screen (vpmullq,
+// 64-bit-index gathers, vpcompressd/q).
 // dispatch.cpp only publishes this table after CPUID confirms
 // F+DQ+BW+VL.
 
@@ -223,6 +224,68 @@ std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
                                          hi, out + count, keys + count);
 }
 
+std::size_t screen_candidates(const ScreenInputs& in, std::uint32_t* ids,
+                              std::uint64_t* keys, std::size_t count) {
+  const __m512i threshold_immunize =
+      _mm512_set1_epi64(static_cast<long long>(in.threshold_immunize));
+  const __m512i threshold_block =
+      _mm512_set1_epi64(static_cast<long long>(in.threshold_block));
+  const __m512i golden =
+      _mm512_set1_epi64(static_cast<long long>(0x9E3779B97F4A7C15ULL));
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const __m256i ids32 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
+    const __m512i key = _mm512_loadu_si512(keys + i);
+    // Node ids are u32: zero-extended 64-bit gather indices.
+    const __m512i v = _mm512_cvtepu32_epi64(ids32);
+    const __m512i word = _mm512_i64gather_epi64(_mm512_srli_epi64(v, 5),
+                                                in.words, 8);
+    const __m512i compartment = _mm512_and_si512(
+        _mm512_srlv_epi64(word, _mm512_slli_epi64(
+                                    _mm512_and_si512(v, _mm512_set1_epi64(31)),
+                                    1)),
+        _mm512_set1_epi64(3));
+    const __mmask8 susceptible =
+        _mm512_cmpeq_epi64_mask(compartment, _mm512_setzero_si512());
+    const __mmask8 infected =
+        _mm512_cmpeq_epi64_mask(compartment, _mm512_set1_epi64(1));
+    // CounterRng(key): the first draw is splitmix64(key), the second
+    // splitmix64(key + golden).
+    const __m512i first = _mm512_srli_epi64(splitmix64(key), 11);
+    __mmask8 keep =
+        _mm512_mask_cmplt_epu64_mask(infected, first, threshold_block) |
+        _mm512_mask_cmplt_epu64_mask(susceptible, first, threshold_immunize);
+    const __mmask8 drawn = susceptible & static_cast<__mmask8>(~keep);
+    const __m256i sources = _mm512_mask_i64gather_epi32(
+        _mm256_setzero_si256(), drawn, v, in.exposure_count, 4);
+    const __mmask8 exposed =
+        _mm256_mask_test_epi32_mask(drawn, sources, sources);
+    const __m512i sum = _mm512_mask_i64gather_epi64(
+        _mm512_setzero_si512(), exposed, v, in.exposure_sum, 8);
+    const __m256i group = _mm512_mask_i64gather_epi32(
+        _mm256_setzero_si256(), exposed, v, in.group_of, 4);
+    const __m512d lambda_over_k = _mm512_mask_i64gather_pd(
+        V::zero(), exposed, _mm512_cvtepu32_epi64(group), in.lambda_over_k, 8);
+    const __m512d bound = simd::rejection_bound<V>(
+        _mm512_cvtepu32_pd(sources), _mm512_cvtepi64_pd(sum), lambda_over_k,
+        in);
+    const __m512d second =
+        _mm512_cvtepi64_pd(_mm512_srli_epi64(
+            splitmix64(_mm512_add_epi64(key, golden)), 11)) *
+        V::set1(0x1.0p-53);
+    keep |= _mm512_mask_cmp_pd_mask(exposed, second, bound, _CMP_NGE_UQ);
+    // In place: kept <= i, so the full-width stores land on slots this
+    // loop has already read.
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ids + kept),
+                        _mm256_maskz_compress_epi32(keep, ids32));
+    _mm512_storeu_si512(keys + kept, _mm512_maskz_compress_epi64(keep, key));
+    kept += static_cast<std::size_t>(__builtin_popcount(keep));
+  }
+  return scalar::screen_candidates(in, ids, keys, i, count, kept);
+}
+
 }  // namespace
 
 const Ops& avx512_ops() {
@@ -246,6 +309,7 @@ const Ops& avx512_ops() {
       census2,
       simd::varint_decode_deltas_avx2,
       draw_candidates,
+      screen_candidates,
       simd::batch_dot<V>,
       simd::batch_trapezoid<V>,
       simd::batch_knot4<V>,

@@ -39,6 +39,11 @@ void accumulate_sq(const double* x, double* acc, std::size_t n) {
   scalar::accumulate_sq(x, acc, 0, n);
 }
 
+std::size_t screen_candidates(const ScreenInputs& in, std::uint32_t* ids,
+                              std::uint64_t* keys, std::size_t count) {
+  return scalar::screen_candidates(in, ids, keys, 0, count, 0);
+}
+
 }  // namespace
 
 const Ops& scalar_ops() {
@@ -62,6 +67,7 @@ const Ops& scalar_ops() {
       scalar::census2,
       scalar::varint_decode_deltas,
       scalar::draw_candidates,
+      screen_candidates,
       batchref::dot,
       batchref::trapezoid,
       batchref::knot4,

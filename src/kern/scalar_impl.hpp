@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "kern/kern.hpp"
 #include "util/random.hpp"
 
 namespace rumor::kern::scalar {
@@ -308,6 +309,43 @@ inline std::size_t draw_candidates(std::uint64_t key, std::uint64_t threshold,
                                       (exposure[v] != 0));
   }
   return count;
+}
+
+/// Reference keep rule of Ops::screen_candidates for node v with
+/// stream key `key`.
+inline bool screen_keeps(const ScreenInputs& in, std::uint32_t v,
+                         std::uint64_t key) {
+  // 0 = S, 1 = I, 2 = R (sim/compartments.hpp).
+  const auto compartment =
+      (in.words[v / kNodesPerWord] >> (v % kNodesPerWord * 2)) & 0x3u;
+  util::CounterRng draw(key);
+  const std::uint64_t first = draw.next() >> 11;
+  if (compartment == 1) return first < in.threshold_block;
+  if (compartment != 0) return false;
+  if (first < in.threshold_immunize) return true;
+  const std::uint32_t count = in.exposure_count[v];
+  if (count == 0) return false;
+  const InfectionBound bound =
+      infection_bound(count, in.exposure_sum[v], in.unit, in.gather_error,
+                      in.lambda_over_k[in.group_of[v]], in.dt);
+  return !(draw.uniform() >= rejection_bound(bound));
+}
+
+/// Reference screen over candidates [begin, end), appending the kept
+/// ones at `kept` (<= begin) with the branch-free append of
+/// draw_candidates; returns the new kept count.
+inline std::size_t screen_candidates(const ScreenInputs& in,
+                                     std::uint32_t* ids, std::uint64_t* keys,
+                                     std::size_t begin, std::size_t end,
+                                     std::size_t kept) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint32_t v = ids[i];
+    const std::uint64_t key = keys[i];
+    ids[kept] = v;
+    keys[kept] = key;
+    kept += static_cast<std::size_t>(screen_keeps(in, v, key));
+  }
+  return kept;
 }
 
 }  // namespace

@@ -558,5 +558,22 @@ void batch_costate_rk4_step(const double* w, std::size_t n, std::size_t lanes,
   rk4_combine<V>(w, k1, k2, k3, k4, h / 6.0, w_next, dim);
 }
 
+/// kern::rejection_bound(kern::infection_bound(...)) for a vector of
+/// candidates, operation for operation, from their exposure counts and
+/// sums as doubles and their λ_v/k_v: the candidate screens' bound.
+template <typename V>
+typename V::Vec rejection_bound(typename V::Vec count, typename V::Vec sum,
+                                typename V::Vec lambda_over_k,
+                                const ScreenInputs& in) {
+  const auto unit = V::set1(in.unit);
+  const auto dt = V::set1(in.dt);
+  const auto hazard = sum * unit;
+  const auto delta = count * V::set1(0.5 * in.unit) +
+                     V::set1(in.gather_error) * (hazard + count * unit);
+  const auto x = lambda_over_k * hazard * dt;
+  const auto margin = lambda_over_k * dt * delta + V::set1(0x1p-45);
+  return x + margin + V::set1(0x1p-48);
+}
+
 }  // namespace
 }  // namespace rumor::kern::simd

@@ -434,10 +434,21 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
     // and has nothing to catch, so the switch below would record no
     // transition for it: the transitions, and their order, are those
     // of a sweep over every node. The sweep returns each kept node's
-    // stream key with its id, so the loop below re-draws from it.
+    // stream key with its id, so the screen and the loop below re-draw
+    // from it.
     const std::size_t n = num_nodes();
     const std::uint64_t threshold =
         kern::draw_threshold(std::max(p_immunize, p_block));
+    const kern::ScreenInputs screen{state_.words(),
+                                    exposure_count_.data(),
+                                    exposure_sum_.data(),
+                                    group_of_.data(),
+                                    group_lambda_over_k_.data(),
+                                    exposure_unit_,
+                                    gather_error_,
+                                    params_.dt,
+                                    kern::draw_threshold(p_immunize),
+                                    kern::draw_threshold(p_block)};
     used_chunks = (n + kStepGrain - 1) / kStepGrain;
     util::parallel_for_chunks(
         std::size_t{0}, n, kStepGrain,
@@ -447,9 +458,15 @@ void AgentSimulation::step_frontier(double p_immunize, double p_block,
           out.clear();
           std::uint32_t candidates[kStepGrain];
           std::uint64_t keys[kStepGrain];
-          const std::size_t count = ops_->draw_candidates(
+          const std::size_t drawn = ops_->draw_candidates(
               step_key, threshold, exposure_count_.data(), premix_.get(), lo,
               hi, candidates, keys);
+          // The screen drops, in place, every candidate for which the
+          // switch below would record nothing, by the switch's own
+          // arithmetic (kern.hpp), so the switch sees the few that can
+          // transition.
+          const std::size_t count =
+              ops_->screen_candidates(screen, candidates, keys, drawn);
           for (std::size_t i = 0; i < count; ++i) {
             const graph::NodeId v = candidates[i];
             switch (state_.get(v)) {

@@ -54,7 +54,15 @@
 //    largest graph, one per process), so a stream key
 //    hash_mix(step_key, v) = splitmix64(step_key ^ premix(v)) costs one
 //    splitmix64 round, and the sweep hands each kept node's stream key
-//    back with its id.
+//    back with its id. kern::Ops::screen_candidates then drops, in
+//    place, every candidate the per-candidate switch would record
+//    nothing for — a recovered node, an infected one whose blocking draw
+//    fails, a susceptible whose immunization draw fails and that has no
+//    infected source or whose infection draw is at or above
+//    certify_infection's exp-free rejection bound — by the switch's own
+//    arithmetic (kern::infection_bound), so the switch runs only on the
+//    few that can transition (~5% of the candidates of a Digg-scale
+//    rumord job).
 //
 // Both engines draw from the same per-node streams, and the frontier
 // engine decides infections without gathering. With H̃ = A_v·2^-s
@@ -87,7 +95,8 @@
 // rejects the draw too. For x ≥ 1 the bound exceeds every draw and
 // the test never fires. certify_infection is that decision as a pure
 // function; tests/test_sim_certified.cpp checks it against the
-// exp-first form on random and boundary inputs.
+// exp-first form on random and boundary inputs, and checks that the
+// candidate screen drops nothing the switch would record.
 #pragma once
 
 #include <array>
@@ -131,21 +140,17 @@ inline InfectionVerdict certify_infection(double u, std::uint32_t count,
                                           std::int64_t sum, double unit,
                                           double gather_error,
                                           double lambda_over_k, double dt) {
-  // δ and m of the header note; H̃ and the grid terms are exact.
-  const auto c = static_cast<double>(count);
-  const double hazard = static_cast<double>(sum) * unit;
-  const double delta = c * (0.5 * unit) + gather_error * (hazard + c * unit);
-  const double margin = lambda_over_k * dt * delta + 0x1p-45;
   // x rounds as AgentSimulation::infection_probability's exponent does.
-  const double x = lambda_over_k * hazard * dt;
-  if (u >= x + margin + 0x1p-48) return InfectionVerdict::kNone;
-  const double p = 1.0 - std::exp(-x);
+  const kern::InfectionBound bound =
+      kern::infection_bound(count, sum, unit, gather_error, lambda_over_k, dt);
+  if (u >= kern::rejection_bound(bound)) return InfectionVerdict::kNone;
+  const double p = 1.0 - std::exp(-bound.x);
   // The dense engine infects iff u < p_dense, or without a draw when
   // p_dense >= 1, and never when its gather is 0 or p_dense <= 0. With
   // p_dense within the margin of p, u < p − margin is an infection in
   // every case and u >= p + margin is none; the gather settles the rest.
-  if (u < p - margin) return InfectionVerdict::kInfect;
-  if (u < p + margin) return InfectionVerdict::kUndecided;
+  if (u < p - bound.margin) return InfectionVerdict::kInfect;
+  if (u < p + bound.margin) return InfectionVerdict::kUndecided;
   return InfectionVerdict::kNone;
 }
 

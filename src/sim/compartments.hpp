@@ -48,6 +48,10 @@ class PackedCompartments {
 
   std::size_t size() const { return size_; }
 
+  /// The packed words: node v sits in bits 2(v % 32) and up of word
+  /// v / 32 (kernels that read compartments in bulk take this).
+  const std::uint64_t* words() const { return words_.data(); }
+
   Compartment get(std::size_t v) const {
     const std::uint64_t word = words_[v / kNodesPerWord];
     const std::size_t shift = (v % kNodesPerWord) * kBitsPerNode;

@@ -519,6 +519,145 @@ TEST(KernSweep, DrawCandidatesExactInEveryBackend) {
   }
 }
 
+TEST(KernSweep, ScreenCandidatesExactInEveryBackend) {
+  // Every backend must keep exactly the candidates the scalar body
+  // keeps, in order and with their keys: on all three compartments,
+  // counts 0..D, sums up to the 2^53 cap, thresholds at the draw grid's
+  // ends and middle and at a candidate's own first draw, and second
+  // draws within four grid steps of the rejection bound. The candidate
+  // arrays and every table end against a PROT_NONE page, and the last
+  // node is always a candidate, so a read past any of them faults.
+  std::vector<const kern::Ops*> backends = simd_backends();
+  const kern::Ops& scalar = kern::ops(kern::Backend::kScalar);
+  constexpr std::uint64_t kGrid = std::uint64_t{1} << 53;
+  constexpr std::int64_t kSumCap = std::int64_t{1} << 53;
+  util::Xoshiro256 rng(24680);
+  const auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  std::size_t near_bound = 0;
+  std::size_t kept_total = 0;
+  std::size_t screened_total = 0;
+  for (std::size_t count = 0; count <= 17; ++count) {
+    for (int rep = 0; rep < 48; ++rep) {
+      const std::size_t nodes = count + rng.uniform_index(24);
+      const GuardedArray<std::uint64_t> words((nodes + 31) / 32);
+      const GuardedArray<std::uint32_t> exposure_count(nodes);
+      const GuardedArray<std::int64_t> exposure_sum(nodes);
+      const GuardedArray<std::uint32_t> group_of(nodes);
+      const GuardedArray<double> lambda_over_k(nodes);
+      const auto max_sources = static_cast<std::uint32_t>(
+          rep % 3 == 0 ? 1 : 1 + rng.uniform_index(1u << 20));
+      kern::ScreenInputs in{};
+      in.words = words.data();
+      in.exposure_count = exposure_count.data();
+      in.exposure_sum = exposure_sum.data();
+      in.group_of = group_of.data();
+      in.lambda_over_k = lambda_over_k.data();
+      in.unit = std::ldexp(1.0, -static_cast<int>(rng.uniform_index(90)));
+      in.gather_error = static_cast<double>(max_sources) * 0x1p-52;
+      in.dt = log_uniform(1e-3, 1.0);
+      for (std::size_t w = 0; w < (nodes + 31) / 32; ++w) {
+        // Two random bits per node: S, I, R and the unused 3.
+        words.data()[w] = rng();
+      }
+      for (std::size_t v = 0; v < nodes; ++v) {
+        // Slot value 3 is never stored; turn it into S.
+        const std::size_t shift = v % 32 * 2;
+        if ((words.data()[v / 32] >> shift & 3u) == 3u) {
+          words.data()[v / 32] &= ~(std::uint64_t{3} << shift);
+        }
+        exposure_count.data()[v] =
+            rng.uniform_index(4) == 0
+                ? 0u
+                : static_cast<std::uint32_t>(
+                      rng.uniform_index(std::uint64_t{max_sources} + 1));
+        exposure_sum.data()[v] =
+            v % 5 == 0 ? kSumCap - 1
+                       : static_cast<std::int64_t>(
+                             rng.uniform_index(
+                                 static_cast<std::uint64_t>(kSumCap)) >>
+                             rng.uniform_index(54));
+        group_of.data()[v] = static_cast<std::uint32_t>(v);
+        lambda_over_k.data()[v] = log_uniform(1e-6, 1e3);
+      }
+      // Candidates: ascending distinct nodes ending at the last node.
+      std::vector<std::uint32_t> ids;
+      for (std::size_t v = nodes - count; v < nodes; ++v) {
+        ids.push_back(static_cast<std::uint32_t>(v));
+      }
+      std::vector<std::uint64_t> keys(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        keys[i] = rng();
+        const std::uint32_t v = ids[i];
+        util::CounterRng draw(keys[i]);
+        (void)draw.next();
+        const double second = draw.uniform();
+        const auto c = static_cast<double>(exposure_count.data()[v]);
+        const double hazard =
+            static_cast<double>(exposure_sum.data()[v]) * in.unit;
+        const double delta =
+            c * (0.5 * in.unit) + in.gather_error * (hazard + c * in.unit);
+        const auto step = static_cast<double>(rng.uniform_index(9)) - 4.0;
+        const double room = second + step * 0x1p-53 - 0x1p-45 - 0x1p-48;
+        if (i % 2 == 0 && room > 0.0 && hazard + delta > 0.0) {
+          // x + m = λ_v/k_v·dt·(H̃ + δ) + 2^-45: solve for the λ_v/k_v
+          // that puts the bound within four grid steps of the draw.
+          lambda_over_k.data()[v] = room / (in.dt * (hazard + delta));
+        }
+        const double bound = kern::rejection_bound(kern::infection_bound(
+            exposure_count.data()[v], exposure_sum.data()[v], in.unit,
+            in.gather_error, lambda_over_k.data()[v], in.dt));
+        const bool susceptible =
+            (words.data()[v / 32] >> (v % 32 * 2) & 3u) == 0;
+        if (susceptible && exposure_count.data()[v] > 0 &&
+            std::abs(bound - second) <= 4 * 0x1p-53) {
+          ++near_bound;
+        }
+      }
+      std::vector<std::uint64_t> thresholds = {0, 1, kGrid / 2, kGrid};
+      if (count > 0) {
+        util::CounterRng draw(keys[0]);
+        const std::uint64_t first = draw.next() >> 11;
+        thresholds.push_back(first);
+        thresholds.push_back(first + 1);
+      }
+      in.threshold_immunize = thresholds[rng.uniform_index(thresholds.size())];
+      in.threshold_block = thresholds[rng.uniform_index(thresholds.size())];
+
+      std::vector<std::uint32_t> want_ids = ids;
+      std::vector<std::uint64_t> want_keys = keys;
+      const std::size_t want = scalar.screen_candidates(
+          in, want_ids.data(), want_keys.data(), count);
+      ASSERT_LE(want, count);
+      kept_total += want;
+      screened_total += count;
+      for (const kern::Ops* ops : backends) {
+        const GuardedArray<std::uint32_t> got_ids(count);
+        const GuardedArray<std::uint64_t> got_keys(count);
+        std::copy(ids.begin(), ids.end(), got_ids.data());
+        std::copy(keys.begin(), keys.end(), got_keys.data());
+        const std::size_t got = ops->screen_candidates(
+            in, got_ids.data(), got_keys.data(), count);
+        ASSERT_EQ(got, want) << kern::to_string(ops->backend)
+                             << " count=" << count << " rep=" << rep;
+        for (std::size_t i = 0; i < got; ++i) {
+          ASSERT_EQ(got_ids.data()[i], want_ids[i])
+              << kern::to_string(ops->backend) << " i=" << i
+              << " count=" << count << " rep=" << rep;
+          ASSERT_EQ(got_keys.data()[i], want_keys[i])
+              << kern::to_string(ops->backend) << " key i=" << i
+              << " count=" << count << " rep=" << rep;
+        }
+      }
+    }
+  }
+  // The sweep reaches both verdicts and the bound's neighbourhood.
+  EXPECT_GT(kept_total, screened_total / 10);
+  EXPECT_LT(kept_total, screened_total * 9 / 10);
+  EXPECT_GT(near_bound, 500u);
+}
+
 TEST(KernSweep, DrawThresholdMatchesBernoulli) {
   // x < draw_threshold(p) must be exactly CounterRng::bernoulli(p)'s
   // test on the same draw, including the degenerate probabilities.
@@ -604,6 +743,7 @@ TEST(KernDispatch, PublishedTablesAreComplete) {
     EXPECT_NE(ops.census2, nullptr);
     EXPECT_NE(ops.varint_decode_deltas, nullptr);
     EXPECT_NE(ops.draw_candidates, nullptr);
+    EXPECT_NE(ops.screen_candidates, nullptr);
   }
 }
 
@@ -1012,6 +1152,8 @@ TEST(KernDispatch, ZeroLengthIsValidEverywhere) {
     EXPECT_EQ(
         ops.draw_candidates(1, 0, nullptr, nullptr, 5, 5, nullptr, nullptr),
         0u);
+    EXPECT_EQ(ops.screen_candidates(kern::ScreenInputs{}, nullptr, nullptr, 0),
+              0u);
   }
 }
 

@@ -300,11 +300,14 @@ TEST_F(ServeServerTest, StreamJobRunsResumesAndMatchesUninterrupted) {
   start_server(/*workers=*/1);
   Client c = client();
 
-  // Write a small scripted scenario next to the test root.
+  // Write a small scripted scenario next to the test root. Replanning
+  // on every tick with 8 substeps sizes one run at ~205 ms (RelWithDebInfo,
+  // one 4-vCPU VM; 30 ticks replanned every fifth tick took ~9 ms), so the
+  // victim below is still running when the intruder preempts it.
   stream::ScenarioSpec scenario;
   scenario.num_nodes = 120;
   scenario.initial_nodes = 40;
-  scenario.ticks = 30;
+  scenario.ticks = 60;
   scenario.seed_tick = 5;
   scenario.drift_tick = 15;
   const std::string events_path = (root_ / "events.bin").string();
@@ -318,19 +321,23 @@ TEST_F(ServeServerTest, StreamJobRunsResumesAndMatchesUninterrupted) {
   spec.set("max_iterations", 60);
   spec.set("groups", 6);
   spec.set("horizon", 6.0);
+  spec.set("replan_every", 1);
+  spec.set("substeps", 8);
 
   const std::uint64_t clean_id = c.submit("stream", spec);
   const io::JsonValue clean = c.wait(clean_id, 180000ms);
   ASSERT_EQ(clean.find("state")->as_string(), "done") << clean.dump();
   const io::JsonValue* result = clean.find("result");
-  EXPECT_EQ(result->number_or("ticks", -1.0), 30.0);
+  EXPECT_EQ(result->number_or("ticks", -1.0), 60.0);
   EXPECT_GT(result->number_or("plans", -1.0), 0.0);
 
   // Preempt a second identical run, then let it resume: the decision
   // and state CRCs must match the uninterrupted run's exactly.
+  // Leave the poll on any state past queued: a job can pass through
+  // running between two polls, and waiting to see it would never end.
   const std::uint64_t victim_id = c.submit("stream", spec);
   const auto poll_deadline = std::chrono::steady_clock::now() + 30s;
-  while (c.status(victim_id).find("state")->as_string() != "running") {
+  while (c.status(victim_id).find("state")->as_string() == "queued") {
     ASSERT_LT(std::chrono::steady_clock::now(), poll_deadline);
     std::this_thread::sleep_for(1ms);
   }
@@ -341,6 +348,8 @@ TEST_F(ServeServerTest, StreamJobRunsResumesAndMatchesUninterrupted) {
   (void)c.wait(intruder_id, 60000ms);
   const io::JsonValue victim = c.wait(victim_id, 180000ms);
   ASSERT_EQ(victim.find("state")->as_string(), "done") << victim.dump();
+  // The victim took the checkpoint-and-resume path.
+  EXPECT_GE(victim.find("preemptions")->as_number(), 1.0);
   EXPECT_EQ(victim.find("result")->number_or("decision_crc", -1.0),
             clean.find("result")->number_or("decision_crc", -2.0));
   EXPECT_EQ(victim.find("result")->number_or("state_crc", -1.0),

@@ -418,6 +418,225 @@ TEST(SimCertified, VerdictMatchesTheExpFirstDecision) {
   for (const std::uint64_t seen : verdicts) EXPECT_GT(seen, 1000u);
 }
 
+/// A transition the per-candidate switch records.
+struct Recorded {
+  graph::NodeId node;
+  Compartment to;
+};
+
+/// certify_infection with x and m written out rather than taken from
+/// kern::infection_bound, so the reference below shares no code with
+/// the screen it checks.
+InfectionVerdict reference_certify_infection(double u, std::uint32_t count,
+                                             std::int64_t sum, double unit,
+                                             double gather_error,
+                                             double lambda_over_k, double dt) {
+  // δ and m of the header note; H̃ and the grid terms are exact.
+  const auto c = static_cast<double>(count);
+  const double hazard = static_cast<double>(sum) * unit;
+  const double delta = c * (0.5 * unit) + gather_error * (hazard + c * unit);
+  const double margin = lambda_over_k * dt * delta + 0x1p-45;
+  // x rounds as AgentSimulation::infection_probability's exponent does.
+  const double x = lambda_over_k * hazard * dt;
+  if (u >= x + margin + 0x1p-48) return InfectionVerdict::kNone;
+  const double p = 1.0 - std::exp(-x);
+  if (u < p - margin) return InfectionVerdict::kInfect;
+  if (u < p + margin) return InfectionVerdict::kUndecided;
+  return InfectionVerdict::kNone;
+}
+
+/// The frontier engine's step-start state as the ε1 > 0 switch reads it.
+struct SwitchState {
+  PackedCompartments state_;
+  std::vector<std::uint32_t> exposure_count_;
+  std::vector<std::int64_t> exposure_sum_;
+  std::vector<std::uint32_t> group_of_;
+  std::vector<double> group_lambda_over_k_;
+  double exposure_unit_ = 1.0;
+  double gather_error_ = 0.0;
+  double dt = 0.1;
+
+  double lambda_over_k(std::size_t v) const {
+    return group_lambda_over_k_[group_of_[v]];
+  }
+
+  void decide_infection(graph::NodeId v, double u,
+                        std::vector<Recorded>& out) const {
+    switch (reference_certify_infection(
+        u, exposure_count_[v], exposure_sum_[v], exposure_unit_,
+        gather_error_, lambda_over_k(v), dt)) {
+      case InfectionVerdict::kInfect:
+        out.push_back({v, Compartment::kInfected});
+        break;
+      case InfectionVerdict::kUndecided:
+        out.push_back({v, Compartment::kSusceptible});
+        break;
+      case InfectionVerdict::kNone:
+        break;
+    }
+  }
+
+  /// The ε1 > 0 step's per-candidate switch (agent_sim.cpp), verbatim
+  /// but for the decision helpers above.
+  std::vector<Recorded> run_switch(const std::uint32_t* candidates,
+                                   const std::uint64_t* keys,
+                                   std::size_t count, double p_immunize,
+                                   double p_block) const {
+    std::vector<Recorded> out;
+    for (std::size_t i = 0; i < count; ++i) {
+      const graph::NodeId v = candidates[i];
+      switch (state_.get(v)) {
+        case Compartment::kSusceptible: {
+          util::CounterRng draw(keys[i]);
+          // Truth wins ties: test immunization first.
+          if (draw.bernoulli(p_immunize)) {
+            out.push_back({v, Compartment::kRecovered});
+          } else if (exposure_count_[v] > 0) {
+            decide_infection(v, draw.uniform(), out);
+          }
+          break;
+        }
+        case Compartment::kInfected: {
+          util::CounterRng draw(keys[i]);
+          if (draw.bernoulli(p_block)) {
+            out.push_back({v, Compartment::kRecovered});
+          }
+          break;
+        }
+        case Compartment::kRecovered:
+          break;
+      }
+    }
+    return out;
+  }
+};
+
+TEST(SimCertified, ScreenDropsOnlyCandidatesThatRecordNothing) {
+  // On random engine states, every backend's screen keeps the
+  // candidates in order with their keys, and the switch records nothing
+  // for any candidate it drops. Half the susceptibles' rates put the
+  // rejection bound within four grid steps of the infection draw, and
+  // some probabilities sit one grid step from a candidate's first draw.
+  std::vector<const kern::Ops*> backends = {
+      &kern::ops(kern::Backend::kScalar)};
+  for (const kern::Backend b : {kern::Backend::kAvx2, kern::Backend::kAvx512}) {
+    if (kern::compiled(b) && kern::cpu_supports(b)) {
+      backends.push_back(&kern::ops(b));
+    }
+  }
+  constexpr std::size_t kNodes = 17;
+  constexpr std::int64_t kSumCap = std::int64_t{1} << 53;
+  util::Xoshiro256 rng(20261020);
+  const auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, rng.uniform());
+  };
+  std::uint64_t dropped = 0;
+  std::uint64_t kept_recording = 0;
+  std::uint64_t kept_silent = 0;
+  std::uint64_t violations = 0;
+  for (int q = 0; q < 100000; ++q) {
+    SwitchState s;
+    s.state_.assign(kNodes, Compartment::kSusceptible);
+    s.exposure_unit_ =
+        std::ldexp(1.0, -static_cast<int>(rng.uniform_index(90)));
+    const auto max_sources =
+        static_cast<std::uint32_t>(1 + rng.uniform_index(1u << 20));
+    s.gather_error_ = static_cast<double>(max_sources) * 0x1p-52;
+    s.dt = log_uniform(1e-3, 1.0);
+    std::vector<std::uint32_t> candidates(kNodes);
+    std::vector<std::uint64_t> keys(kNodes);
+    for (std::size_t v = 0; v < kNodes; ++v) {
+      const std::uint64_t pick = rng.uniform_index(6);
+      s.state_.set(v, pick < 4 ? Compartment::kSusceptible
+                      : pick == 4 ? Compartment::kInfected
+                                  : Compartment::kRecovered);
+      s.exposure_count_.push_back(
+          rng.uniform_index(5) == 0
+              ? 0u
+              : static_cast<std::uint32_t>(1 + rng.uniform_index(max_sources)));
+      s.exposure_sum_.push_back(static_cast<std::int64_t>(
+          rng.uniform_index(static_cast<std::uint64_t>(kSumCap)) >>
+          rng.uniform_index(54)));
+      s.group_of_.push_back(static_cast<std::uint32_t>(v));
+      s.group_lambda_over_k_.push_back(log_uniform(1e-6, 1e3));
+      candidates[v] = static_cast<std::uint32_t>(v);
+      keys[v] = rng();
+      util::CounterRng draw(keys[v]);
+      (void)draw.next();
+      const double second = draw.uniform();
+      const kern::InfectionBound unit_rate = kern::infection_bound(
+          s.exposure_count_[v], s.exposure_sum_[v], s.exposure_unit_,
+          s.gather_error_, 1.0, s.dt);
+      const auto step = static_cast<double>(rng.uniform_index(9)) - 4.0;
+      const double room = second + step * 0x1p-53 - 0x1p-45 - 0x1p-48;
+      if (v % 2 == 0 && room > 0.0) {
+        // x + m − 2^-45 is linear in λ_v/k_v: at rate 1 it reads
+        // x + m − 2^-45 of the unit-rate bound.
+        const double slope = unit_rate.x + unit_rate.margin - 0x1p-45;
+        if (slope > 0.0) s.group_lambda_over_k_[v] = room / slope;
+      }
+    }
+    const auto near_first = [&](std::size_t v) {
+      util::CounterRng draw(keys[v]);
+      const auto first = static_cast<double>(draw.next() >> 11);
+      return (first + static_cast<double>(rng.uniform_index(3)) - 1.0) *
+             0x1p-53;
+    };
+    const double p_immunize =
+        q % 4 == 0 ? 1.0 : q % 4 == 1 ? near_first(0) : rng.uniform();
+    const double p_block = q % 5 == 0 ? 0.0
+                           : q % 5 == 1 ? 1.0
+                           : q % 5 == 2 ? near_first(1)
+                                        : rng.uniform();
+    if (!(p_immunize > 0.0)) continue;  // the switch runs on ε1 > 0 steps
+    const kern::ScreenInputs in{s.state_.words(),
+                                s.exposure_count_.data(),
+                                s.exposure_sum_.data(),
+                                s.group_of_.data(),
+                                s.group_lambda_over_k_.data(),
+                                s.exposure_unit_,
+                                s.gather_error_,
+                                s.dt,
+                                kern::draw_threshold(p_immunize),
+                                kern::draw_threshold(p_block)};
+    for (const kern::Ops* ops : backends) {
+      std::vector<std::uint32_t> ids = candidates;
+      std::vector<std::uint64_t> screened_keys = keys;
+      const std::size_t kept =
+          ops->screen_candidates(in, ids.data(), screened_keys.data(), kNodes);
+      ASSERT_LE(kept, kNodes);
+      std::size_t next = 0;
+      for (std::size_t v = 0; v < kNodes; ++v) {
+        const bool is_kept = next < kept && ids[next] == v;
+        if (is_kept) {
+          ASSERT_EQ(screened_keys[next], keys[v]);
+          ++next;
+        }
+        const bool records =
+            !s.run_switch(&candidates[v], &keys[v], 1, p_immunize, p_block)
+                 .empty();
+        if (is_kept) {
+          ++(records ? kept_recording : kept_silent);
+        } else {
+          ++dropped;
+          if (records && ++violations <= 5) {
+            ADD_FAILURE() << kern::to_string(ops->backend)
+                          << " dropped node " << v << " of state " << q
+                          << ", which records a transition";
+          }
+        }
+      }
+      ASSERT_EQ(next, kept) << "kept ids out of order";
+    }
+  }
+  EXPECT_EQ(violations, 0u);
+  // Both verdicts occur often, and the kept candidates that record
+  // nothing (rejected only after exp) are the bound's slack.
+  EXPECT_GT(dropped, 500000u);
+  EXPECT_GT(kept_recording, 500000u);
+  EXPECT_GT(kept_silent, 50000u);
+}
+
 TEST(SimCertified, FallbacksAreCountedPerStepInTheRegistry) {
   // sim.gather_fallbacks advances by each step's fallbacks.
   const graph::Graph g = path2();
